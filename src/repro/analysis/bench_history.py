@@ -54,15 +54,6 @@ _FIGURES: Dict[str, List[Tuple[str, Callable[[Dict], Optional[float]]]]] = {
          lambda d: _dig(d, "engine.store_ops_per_sec")),
         ("engine store drain/s",
          lambda d: _dig(d, "engine.store_drain_per_sec")),
-        # Per-scheduler probes (bench schema v2+; None-safe on v1 files).
-        ("heap depth-1 events/s",
-         lambda d: _dig(d, "schedulers.heap.timeout_events_per_sec")),
-        ("heap depth-10k events/s",
-         lambda d: _dig(d, "schedulers.heap.concurrent_events_per_sec")),
-        ("calendar depth-1 events/s",
-         lambda d: _dig(d, "schedulers.calendar.timeout_events_per_sec")),
-        ("calendar depth-10k events/s",
-         lambda d: _dig(d, "schedulers.calendar.concurrent_events_per_sec")),
     ],
     "cluster": [
         ("scaling sim throughput (img/s)",

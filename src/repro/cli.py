@@ -946,17 +946,6 @@ def cmd_bench(args) -> int:
         ["timeout events/s", f"{engine['timeout_events_per_sec']:,.0f}"],
         ["store ops/s", f"{engine['store_ops_per_sec']:,.0f}"],
         ["store drain/s", f"{engine['store_drain_per_sec']:,.0f}"],
-    ]
-    for name, probes in sorted(data.get("schedulers", {}).items()):
-        rows.append(
-            [f"{name}: depth-1 events/s",
-             f"{probes['timeout_events_per_sec']:,.0f}"]
-        )
-        rows.append(
-            [f"{name}: depth-10k events/s",
-             f"{probes['concurrent_events_per_sec']:,.0f}"]
-        )
-    rows += [
         ["sweep points", str(sweep["points"])],
         ["serial wall", f"{sweep['serial_wall_seconds']:.2f} s"],
         ["parallel wall", f"{sweep['parallel_wall_seconds']:.2f} s "

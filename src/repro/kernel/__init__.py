@@ -25,14 +25,7 @@ from ..sim.rng import RandomStreams
 from ..sim.stores import FilterStore, PriorityItem, PriorityStore, Store
 from .base import ExecutionBackend, is_realtime, run_until
 from .realtime import AsyncioBackend
-from .virtual import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EmptySchedule,
-    StopSimulation,
-    VirtualTimeBackend,
-    resolve_scheduler,
-)
+from .virtual import EmptySchedule, StopSimulation, VirtualTimeBackend
 
 __all__ = [
     "ExecutionBackend",
@@ -42,9 +35,6 @@ __all__ = [
     "run_until",
     "EmptySchedule",
     "StopSimulation",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
-    "resolve_scheduler",
     # Shared primitives (implemented once, used by both clocks).
     "AllOf",
     "AnyOf",

@@ -70,11 +70,7 @@ class AsyncioBackend(Environment):
         time_scale: float = 1.0,
         fast_forward: bool = False,
     ) -> None:
-        # The wall-clock dispatch loop below peeks/pops `_queue` directly
-        # (it needs the next event *time* to size its sleep), so this
-        # backend always runs on the binary-heap core regardless of the
-        # REPRO_SCHEDULER default.
-        super().__init__(initial_time, scheduler="heap")
+        super().__init__(initial_time)
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self.time_scale = float(time_scale)

@@ -16,23 +16,9 @@ hot path (see ``BENCH_parallel.json``) pays nothing for the protocol.
 
 from __future__ import annotations
 
-from ..sim.engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EmptySchedule,
-    Environment,
-    StopSimulation,
-    resolve_scheduler,
-)
+from ..sim.engine import EmptySchedule, Environment, StopSimulation
 
-__all__ = [
-    "VirtualTimeBackend",
-    "EmptySchedule",
-    "StopSimulation",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
-    "resolve_scheduler",
-]
+__all__ = ["VirtualTimeBackend", "EmptySchedule", "StopSimulation"]
 
 #: The discrete-event simulation backend (alias of
 #: :class:`repro.sim.engine.Environment`).

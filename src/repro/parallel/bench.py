@@ -9,10 +9,6 @@ probes:
 - **store**: producer/consumer pairs through a :class:`~repro.sim.Store`
   plus a deep pre-filled drain (the path that used to be quadratic via
   ``list.pop(0)``).
-- **schedulers**: the engine probes repeated under each selectable
-  queue core (``heap`` and ``calendar``), at queue depth 1 (one chain)
-  and depth ~10k (concurrent timer chains) — the comparison that
-  justifies the default scheduler choice.
 - **sweep**: a >=12-point closed-loop experiment sweep executed serially
   and through :func:`repro.parallel.run_sweep` — once with the default
   per-sweep pool and once with a persistent spawn pool + chunked point
@@ -40,8 +36,6 @@ from .tasks import ExperimentPoint, run_experiment_point
 
 __all__ = [
     "bench_engine_events",
-    "bench_engine_concurrent",
-    "bench_schedulers",
     "bench_store_throughput",
     "bench_store_drain",
     "bench_sweep",
@@ -51,18 +45,19 @@ __all__ = [
 ]
 
 #: Bump when the harness shape changes incompatibly.  v2 added the
-#: per-scheduler engine probes and the persistent/chunked sweep leg
-#: (both additive; v1 baselines still compare on the shared figures).
-SCHEMA_VERSION = 2
+#: persistent/chunked sweep leg; v3 dropped the per-scheduler probes
+#: along with the calendar-queue core (older baselines still compare on
+#: the shared figures).
+SCHEMA_VERSION = 3
 
 
-def bench_engine_events(events: int = 200_000, scheduler: Optional[str] = None) -> float:
+def bench_engine_events(events: int = 200_000) -> float:
     """Event-loop throughput: one process advancing through timeouts.
 
     Queue depth stays at 1 — this measures pure dispatch overhead
     (schedule/pop/resume), the binary heap's best case.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
 
     def chain():
         for _ in range(events):
@@ -72,49 +67,6 @@ def bench_engine_events(events: int = 200_000, scheduler: Optional[str] = None) 
     start = time.perf_counter()
     env.run()
     return events / (time.perf_counter() - start)
-
-
-def bench_engine_concurrent(
-    chains: int = 10_000, rounds: int = 20, scheduler: Optional[str] = None
-) -> float:
-    """Event-loop throughput at queue depth ~``chains``.
-
-    Thousands of concurrent timer chains with slightly staggered
-    periods keep the pending-event set deep for the whole run — the
-    regime where a binary heap pays O(log n) per operation and a
-    calendar queue stays O(1) amortized.  Mirrors a fleet/cluster
-    simulation's queue profile rather than a single closed loop's.
-    """
-    env = Environment(scheduler=scheduler)
-
-    def chain(index: int):
-        delay = 1.0 + (index % 97) * 1e-4
-        for _ in range(rounds):
-            yield env.timeout(delay)
-
-    for index in range(chains):
-        env.process(chain(index))
-    total = chains * rounds
-    start = time.perf_counter()
-    env.run()
-    return total / (time.perf_counter() - start)
-
-
-def bench_schedulers(
-    events: int = 200_000, chains: int = 10_000, rounds: int = 20
-) -> Dict[str, Dict[str, float]]:
-    """Both engine probes under each selectable queue core."""
-    from ..sim.engine import SCHEDULERS
-
-    return {
-        name: {
-            "timeout_events_per_sec": _best_of(bench_engine_events, events, name),
-            "concurrent_events_per_sec": _best_of(
-                bench_engine_concurrent, chains, rounds, name
-            ),
-        }
-        for name in SCHEDULERS
-    }
 
 
 def bench_store_throughput(items: int = 100_000) -> float:
@@ -278,7 +230,6 @@ def run_bench(
             "store_ops_per_sec": _best_of(bench_store_throughput, store_items),
             "store_drain_per_sec": _best_of(bench_store_drain, store_items),
         },
-        "schedulers": bench_schedulers(engine_events),
         "sweep": bench_sweep(
             sweep_count,
             workers,

@@ -472,7 +472,6 @@ def run_fleet_experiment(
     telemetry=None,
     *,
     workload: Optional["Workload"] = None,
-    scheduler: Optional[str] = None,
 ) -> FleetResult:
     """Open-loop load against an N-node fleet.
 
@@ -503,7 +502,7 @@ def run_fleet_experiment(
         raise ValueError("pass either workload= or legacy offered_rate=/dataset=, not both")
     workload.validate()
     rate_label = offered_rate if offered_rate is not None else workload.offered_rate_hint()
-    env = VirtualTimeBackend(scheduler=scheduler)
+    env = VirtualTimeBackend()
     streams = RandomStreams(seed)
     collector = MetricsCollector()
     from .runner import _open_session

@@ -30,13 +30,7 @@ from ..core.server import InferenceServer
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..hardware.platform import ServerNode
 from ..hardware.power import DeviceEnergy, EnergySnapshot
-from ..kernel import (
-    ExecutionBackend,
-    RandomStreams,
-    VirtualTimeBackend,
-    resolve_scheduler,
-    run_until,
-)
+from ..kernel import ExecutionBackend, RandomStreams, VirtualTimeBackend, run_until
 from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import Dataset, reference_dataset
 from ..workload import Workload
@@ -91,12 +85,6 @@ class ExperimentConfig:
     #: ``None`` (or ``enabled=False``) records nothing; either way the
     #: simulated results are identical.
     telemetry: Optional[TelemetryConfig] = None
-    #: DES queue core: ``"heap"`` or ``"calendar"`` (``None`` defers to
-    #: the ``REPRO_SCHEDULER`` environment variable, then the default).
-    #: Results are bit-identical under either core; this only selects
-    #: the dispatch data structure.  Ignored when an explicit
-    #: ``backend=`` is handed to the runner.
-    scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -109,8 +97,6 @@ class ExperimentConfig:
             raise ValueError("max_sim_seconds must be positive")
         if self.think_jitter_seconds < 0:
             raise ValueError("think_jitter_seconds must be >= 0")
-        if self.scheduler is not None:
-            resolve_scheduler(self.scheduler)  # raises on unknown names
         if self.workload is not None:
             self.workload.validate()
 
@@ -232,10 +218,9 @@ class RunSession:
         gpu_count: int,
         telemetry: Optional[TelemetryConfig] = None,
         backend: Optional[ExecutionBackend] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         self.env: ExecutionBackend = (
-            backend if backend is not None else VirtualTimeBackend(scheduler=scheduler)
+            backend if backend is not None else VirtualTimeBackend()
         )
         self.streams = RandomStreams(seed)
         self.node = ServerNode(self.env, calibration, gpu_count=gpu_count)
@@ -376,7 +361,6 @@ def run_experiment(
         gpu_count=config.gpu_count,
         telemetry=config.telemetry,
         backend=backend,
-        scheduler=config.scheduler,
     )
     env = run.env
 
@@ -436,7 +420,6 @@ def run_face_pipeline(
     *,
     workload: Optional[Workload] = None,
     backend: Optional[ExecutionBackend] = None,
-    scheduler: Optional[str] = None,
 ) -> RunResult:
     """Simulate the multi-DNN face pipeline (paper Sec. 4.7 / Fig. 11).
 
@@ -469,7 +452,6 @@ def run_face_pipeline(
         gpu_count=gpu_count,
         telemetry=telemetry,
         backend=backend,
-        scheduler=scheduler,
     )
     env = run.env
 
@@ -558,7 +540,6 @@ def run_open_loop(
         gpu_count=config.gpu_count,
         telemetry=config.telemetry,
         backend=backend,
-        scheduler=config.scheduler,
     )
     env = run.env
 

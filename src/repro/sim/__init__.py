@@ -12,20 +12,10 @@ Public surface::
 Synchronization primitives: :class:`Resource`, :class:`PriorityResource`,
 :class:`Container`, :class:`Store`, :class:`FilterStore`,
 :class:`PriorityStore`.  Reproducible randomness: :class:`RandomStreams`.
-
-The dispatch queue core is selectable — ``Environment(scheduler="heap")``
-(default) or ``"calendar"``, also via the ``REPRO_SCHEDULER`` environment
-variable — and results are bit-identical under either (MODELING.md §10).
 """
 
 from .containers import Container
-from .engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EmptySchedule,
-    Environment,
-    resolve_scheduler,
-)
+from .engine import EmptySchedule, Environment
 from .monitor import Counter, Gauge, Monitor, Series
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Initialize, Interrupt, Process
@@ -40,14 +30,11 @@ __all__ = [
     "ConditionValue",
     "Container",
     "Counter",
-    "DEFAULT_SCHEDULER",
     "Gauge",
     "Monitor",
-    "SCHEDULERS",
     "Series",
     "EmptySchedule",
     "Environment",
-    "resolve_scheduler",
     "Event",
     "FilterStore",
     "Initialize",

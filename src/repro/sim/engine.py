@@ -1,82 +1,20 @@
 """The simulation environment: event queue and main loop.
 
-Two interchangeable queue cores drive dispatch (see
-:func:`resolve_scheduler`):
-
-- ``"calendar"`` (default): the :class:`~repro.sim.calendar.CalendarQueue`
-  — O(1) amortized push/pop independent of queue depth.
-- ``"heap"``: the classic ``heapq`` binary heap, kept as a fallback and
-  as the reference the calendar core is pinned against.
-
-Both maintain the exact ``(time, priority, eid)`` total order, so a run
-is bit-identical under either core (asserted by
-``tests/serving/test_scheduler_determinism.py``).  Selection: the
-``scheduler=`` constructor argument, else the ``REPRO_SCHEDULER``
-environment variable, else the default.
-
-The dispatch loop also recycles the hottest event objects
-(:class:`~repro.sim.events.Timeout`, plain :class:`~repro.sim.events.Event`,
-and the store put/get pairs) through per-environment free lists.  An
-event is recycled only when the interpreter's reference count proves
-nothing outside the dispatch loop still holds it, so pooling is
-invisible to policy code; a pooled event must never escape the
-environment that owns it (see MODELING.md §10).
+Pending events live in one ``heapq`` binary heap of
+``(time, priority, eid, event)`` tuples, so dispatch follows the exact
+``(time, priority, insertion order)`` total order and a run is
+bit-identical every time it is repeated.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
-from .calendar import CalendarQueue
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process
-from .stores import StoreGet, StorePut
 
-__all__ = [
-    "Environment",
-    "EmptySchedule",
-    "StopSimulation",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
-    "resolve_scheduler",
-]
-
-#: Queue cores understood by :class:`Environment`.
-SCHEDULERS = ("calendar", "heap")
-
-#: Core used when neither ``scheduler=`` nor ``REPRO_SCHEDULER`` says
-#: otherwise.  CPython's C-accelerated ``heapq`` wins on constant
-#: factors at every queue depth this repository's workloads reach (see
-#: ``python -m repro bench``); the calendar core is kept fully
-#: selectable — and forced on a dedicated CI leg — because it is the
-#: depth-insensitive option and the two must stay bit-identical.
-DEFAULT_SCHEDULER = "heap"
-
-#: Per-environment cap on each free list; a pathological run cannot
-#: hoard unbounded garbage in the pools.
-_POOL_LIMIT = 1024
-
-# CPython's exact reference count is what makes recycling provably safe;
-# on interpreters without it the pools simply never refill.
-_getrefcount = getattr(sys, "getrefcount", None)
-if _getrefcount is None:  # pragma: no cover - non-CPython fallback
-    def _getrefcount(_obj: Any) -> int:
-        return 0
-
-
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Resolve a scheduler choice: argument > ``REPRO_SCHEDULER`` > default."""
-    if name is None:
-        name = os.environ.get("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
-    resolved = str(name).strip().lower()
-    if resolved not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose one of {', '.join(SCHEDULERS)}"
-        )
-    return resolved
+__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
 
 class EmptySchedule(Exception):
@@ -95,36 +33,16 @@ class Environment:
     (priority, insertion order), which makes runs fully deterministic.
     """
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_cal",
-        "_eid",
-        "_active_proc",
-        "_timeout_pool",
-        "_event_pool",
-        "_put_pool",
-        "_get_pool",
-    )
+    __slots__ = ("_now", "_queue", "_eid", "_active_proc")
 
-    def __init__(self, initial_time: float = 0.0, *, scheduler: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if resolve_scheduler(scheduler) == "calendar" else None
-        )
         self._eid = 0
         self._active_proc: Optional[Process] = None
-        self._timeout_pool: List[Timeout] = []
-        self._event_pool: List[Event] = []
-        self._put_pool: List[StorePut] = []
-        self._get_pool: List[StoreGet] = []
 
     def __repr__(self) -> str:
-        return (
-            f"<Environment(now={self._now}, pending={self.pending}, "
-            f"scheduler={self.scheduler!r})>"
-        )
+        return f"<Environment(now={self._now}, pending={len(self._queue)})>"
 
     @property
     def now(self) -> float:
@@ -132,15 +50,9 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Name of the queue core driving this environment."""
-        return "heap" if self._cal is None else "calendar"
-
-    @property
     def pending(self) -> int:
         """Number of scheduled-but-undispatched events."""
-        cal = self._cal
-        return len(self._queue) if cal is None else len(cal)
+        return len(self._queue)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -150,44 +62,27 @@ class Environment:
     # -- event factories --------------------------------------------------
 
     def event(self) -> Event:
-        """Create a new untriggered :class:`Event` (pooled)."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = PENDING
-            event._ok = True
-            event._defused = False
-            return event
+        """Create a new untriggered :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` that triggers after ``delay`` (pooled).
+        """Create a :class:`Timeout` that triggers after ``delay``.
 
         The construction + scheduling sequence is inlined here — this is
         the single most-executed allocation site in the simulator.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._value = value
-            timeout._delay = delay
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
-            timeout._ok = True
-            timeout._defused = False
-            timeout._value = value
-            timeout._delay = delay
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._ok = True
+        timeout._defused = False
+        timeout._value = value
+        timeout._delay = delay
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (self._now + delay, NORMAL, eid, timeout))
-        else:
-            cal.push((self._now + delay, NORMAL, eid, timeout))
+        heappush(self._queue, (self._now + delay, NORMAL, eid, timeout))
         return timeout
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -208,11 +103,7 @@ class Environment:
         """Put a triggered ``event`` on the queue after ``delay``."""
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (self._now + delay, priority, eid, event))
-        else:
-            cal.push((self._now + delay, priority, eid, event))
+        heappush(self._queue, (self._now + delay, priority, eid, event))
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Put a triggered ``event`` on the queue at absolute time ``at``.
@@ -228,41 +119,28 @@ class Environment:
             raise ValueError(f"at ({at}) must be >= now ({self._now})")
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (at, priority, eid, event))
-        else:
-            cal.push((at, priority, eid, event))
+        heappush(self._queue, (at, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        cal = self._cal
-        if cal is None:
-            if not self._queue:
-                return float("inf")
-            return self._queue[0][0]
-        return cal.peek()
+        if not self._queue:
+            return float("inf")
+        return self._queue[0][0]
 
-    def _dispatch_next(self) -> None:
-        """Pop and finish exactly one event — THE dispatch semantics.
+    def step(self) -> None:
+        """Process the next scheduled event.
 
-        This is the single reference implementation that :meth:`step`
-        uses and that the inlined loops in :meth:`run` replicate (the
-        replication is pinned by ``tests/sim/test_engine.py``'s
-        step/run-equivalence tests, so a queue swap cannot fork
-        behavior between the two paths).  A :class:`StopSimulation`
-        raised by an until-event callback propagates to the caller.
+        Raises :class:`EmptySchedule` when there is nothing left to do.
+        This is THE dispatch semantics; :meth:`run` inlines the same
+        steps, so interleaving :meth:`step` with :meth:`run` gives the
+        event order of a pure :meth:`run` (pinned by
+        ``tests/sim/test_engine.py``).  A :class:`StopSimulation` raised
+        by an until-event callback propagates to the caller.
         """
-        cal = self._cal
-        if cal is None:
-            try:
-                item = heappop(self._queue)
-            except IndexError:
-                raise EmptySchedule() from None
-        else:
-            if not cal:
-                raise EmptySchedule() from None
-            item = cal.pop()
+        try:
+            item = heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule() from None
         self._now = item[0]
         event = item[3]
         callbacks = event.callbacks
@@ -273,51 +151,6 @@ class Environment:
         if not event._ok and not event._defused:
             # A failed event nobody handled: escalate to the caller.
             raise event._value
-        self._recycle(event, callbacks)
-
-    def _recycle(self, event: Event, callbacks: list) -> None:
-        """Return a finished event to its free list when provably unheld.
-
-        In the inlined run loops the safe refcount is 3 — the popped
-        ``item`` tuple, the loop's ``event`` local, and the refcount
-        call's own argument; here a fourth reference is this method's
-        ``event`` parameter.  Any additional holder (a process that kept
-        the event, a condition, a store waiter list) vetoes recycling,
-        so reuse can never be observed from outside.  The detached
-        ``callbacks`` list is cleared and re-attached so the next use
-        allocates nothing.
-        """
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is StoreGet:
-            pool = self._get_pool
-        elif cls is StorePut:
-            pool = self._put_pool
-        else:
-            return
-        if _getrefcount(event) == 4 and len(pool) < _POOL_LIMIT:
-            callbacks.clear()
-            event.callbacks = callbacks
-            if cls is StoreGet:
-                event.store = None
-                event.filter_fn = None
-            elif cls is StorePut:
-                event.store = None
-                event.item = None
-            pool.append(event)
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` when there is nothing left to do.
-        Interleaving :meth:`step` with :meth:`run` is supported: both
-        drive :meth:`_dispatch_next`'s semantics, so the resulting
-        event order is identical to a pure :meth:`run`.
-        """
-        self._dispatch_next()
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -354,16 +187,26 @@ class Environment:
                 raise until_event._value
             until_event.callbacks.append(_stop_simulation)
 
-        # Inlined event loops (equivalent to `while True: self.step()`).
-        # This is the hottest code in the simulator: local bindings, no
-        # per-event method call, and in-line recycling measurably raise
-        # events/sec on large sweeps.  Keep both loops in lockstep with
-        # _dispatch_next(): the step/run-equivalence tests pin this.
+        # Inlined event loop (equivalent to `while True: self.step()`).
+        # This is the hottest code in the simulator: local bindings for the
+        # queue and heappop, and no per-event method call or assert,
+        # measurably raise events/sec on large sweeps.
+        queue = self._queue
         try:
-            if self._cal is None:
-                self._run_heap()
-            else:
-                self._run_calendar()
+            while True:
+                try:
+                    item = heappop(queue)
+                except IndexError:
+                    raise EmptySchedule() from None
+                self._now = item[0]
+                event = item[3]
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failed event nobody handled: escalate to the caller.
+                    raise event._value
         except StopSimulation as stop:
             finished: Event = stop.args[0]
             if finished._ok:
@@ -376,104 +219,6 @@ class Environment:
                     "has not triggered"
                 ) from None
         return None
-
-    def _run_heap(self) -> None:
-        """Inlined dispatch loop over the binary-heap core."""
-        queue = self._queue
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        get_pool = self._get_pool
-        put_pool = self._put_pool
-        refcount = _getrefcount
-        while True:
-            try:
-                item = heappop(queue)
-            except IndexError:
-                raise EmptySchedule() from None
-            self._now = item[0]
-            event = item[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                # A failed event nobody handled: escalate to the caller.
-                raise event._value
-            # Inline of _recycle(); see its docstring for the invariant.
-            cls = event.__class__
-            if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    timeout_pool.append(event)
-            elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event_pool.append(event)
-            elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.filter_fn = None
-                    get_pool.append(event)
-            elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.item = None
-                    put_pool.append(event)
-
-    def _run_calendar(self) -> None:
-        """Inlined dispatch loop over the calendar-queue core."""
-        cal = self._cal
-        pop = cal.pop
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        get_pool = self._get_pool
-        put_pool = self._put_pool
-        refcount = _getrefcount
-        while True:
-            if not cal._count:
-                raise EmptySchedule() from None
-            item = pop()
-            self._now = item[0]
-            event = item[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                # A failed event nobody handled: escalate to the caller.
-                raise event._value
-            # Inline of _recycle(); see its docstring for the invariant.
-            cls = event.__class__
-            if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    timeout_pool.append(event)
-            elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event_pool.append(event)
-            elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.filter_fn = None
-                    get_pool.append(event)
-            elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < _POOL_LIMIT:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.item = None
-                    put_pool.append(event)
 
 
 def _stop_simulation(event: Event) -> None:

@@ -9,17 +9,6 @@ exception (thrown into the waiting process).
 Only the pieces needed by the serving simulator are implemented, but they are
 implemented completely: callbacks, ok/defused bookkeeping, and composite
 conditions (:class:`AllOf` / :class:`AnyOf`).
-
-Instances of :class:`Event`, :class:`Timeout`, and the store events are
-*pooled* by the environment: after dispatch, an instance whose reference
-count proves no outside holder remains is scrubbed and reused by a later
-``env.event()`` / ``env.timeout()`` / store call (see
-:meth:`~repro.sim.engine.Environment._recycle`).  The contract is
-one-sided: code that *keeps* a reference to an event keeps a normal,
-never-recycled object whose ``value``/``ok`` stay readable forever; code
-that drops its reference must not expect identity (``is``) relationships
-between events across dispatches.  Condition classes are never pooled —
-they hold cross-event state with unbounded lifetime.
 """
 
 from __future__ import annotations

@@ -14,12 +14,7 @@ Implementation notes (hot path):
   :class:`PriorityStore` is the exception: its ``items`` stay a plain
   list because :mod:`heapq` requires one.
 - The put/get event classes carry ``__slots__``; they are allocated once
-  per message hop and never grow ad-hoc attributes.  :meth:`Store.put`
-  and :meth:`Store.get` additionally draw from the environment's free
-  lists (see ``Environment._recycle``): a put/get event whose dispatch
-  provably left no outstanding references is reset and reused instead of
-  re-allocated, which matters because every message hop costs one of
-  each.
+  per message hop and never grow ad-hoc attributes.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
-from .events import PENDING, Event
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -145,44 +140,11 @@ class Store:
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the event succeeds once there is room."""
-        env = self.env
-        pool = env._put_pool
-        if pool:
-            # Reuse a recycled StorePut: replicate StorePut.__init__ on
-            # the already-reset carcass (callbacks is an attached empty
-            # list; _value/_ok/_defused are re-armed here).
-            event = pool.pop()
-            event._value = PENDING
-            event._ok = True
-            event._defused = False
-            event.item = item
-            event.store = self
-            self._put_waiters.append(event)
-            self._trigger()
-            return event
         return StorePut(self, item)
 
     def get(self) -> StoreGet:
         """Remove and return the next item; blocks (as an event) when empty."""
-        return self._checkout_get(None)
-
-    def _checkout_get(self, filter_fn: Optional[Callable[[Any], bool]]) -> StoreGet:
-        """Pooled StoreGet factory shared by Store.get / FilterStore.get."""
-        env = self.env
-        pool = env._get_pool
-        if pool:
-            event = pool.pop()
-            event._value = PENDING
-            event._ok = True
-            event._defused = False
-            event.store = self
-            event.filter_fn = filter_fn
-            event.requested_at = env.now
-            event._abandoned = False
-            self._get_waiters.append(event)
-            self._trigger()
-            return event
-        return StoreGet(self, filter_fn)
+        return StoreGet(self)
 
     # -- internals ---------------------------------------------------------
 
@@ -240,7 +202,7 @@ class FilterStore(Store):
     """Store whose getters may select items with a predicate."""
 
     def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        return self._checkout_get(filter_fn)
+        return StoreGet(self, filter_fn)
 
     def _do_get(self, event: StoreGet) -> bool:
         if event.filter_fn is None:

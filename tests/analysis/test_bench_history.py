@@ -62,29 +62,6 @@ def test_missing_figures_are_skipped_not_fatal():
     assert [c.figure for c in comparisons] == ["engine timeout events/s"]
 
 
-def test_scheduler_probes_gate_when_present():
-    """Bench schema v2 figures: the per-scheduler probes participate in
-    the gate, and their absence from a v1 baseline skips them."""
-    v2 = json.loads(json.dumps(PARALLEL))
-    v2["schedulers"] = {
-        "heap": {
-            "timeout_events_per_sec": 1000.0,
-            "concurrent_events_per_sec": 400.0,
-        },
-        "calendar": {
-            "timeout_events_per_sec": 700.0,
-            "concurrent_events_per_sec": 300.0,
-        },
-    }
-    fresh = json.loads(json.dumps(v2))
-    fresh["schedulers"]["calendar"]["concurrent_events_per_sec"] = 100.0  # -67%
-    flagged = [c for c in compare_bench(fresh, v2) if c.regressed]
-    assert [c.figure for c in flagged] == ["calendar depth-10k events/s"]
-    # v1 baseline: scheduler figures absent there — not fatal, not compared.
-    figures = [c.figure for c in compare_bench(v2, PARALLEL)]
-    assert "heap depth-1 events/s" not in figures
-
-
 def test_mismatched_schemas_and_empty_reject():
     with pytest.raises(ValueError, match="schemas differ"):
         compare_bench(PARALLEL, CLUSTER)

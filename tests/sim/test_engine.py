@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Environment, EmptySchedule, Interrupt
-from repro.sim.engine import DEFAULT_SCHEDULER, SCHEDULERS, resolve_scheduler
 
 
 def test_initial_time_is_zero():
@@ -510,9 +509,8 @@ class TestRunUntilDrift:
         assert all(now + (at - now) != at for now, at in self.PATHOLOGICAL)
 
     @pytest.mark.parametrize("now,target", PATHOLOGICAL)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_stops_at_exact_float(self, now, target, scheduler):
-        env = Environment(initial_time=now, scheduler=scheduler)
+    def test_stops_at_exact_float(self, now, target):
+        env = Environment(initial_time=now)
 
         def ticker(env):
             while True:
@@ -523,10 +521,9 @@ class TestRunUntilDrift:
         assert env.now == target  # bit-exact, not approx
 
     @pytest.mark.parametrize("now,target", PATHOLOGICAL)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_resuming_to_same_target_is_a_noop(self, now, target, scheduler):
+    def test_resuming_to_same_target_is_a_noop(self, now, target):
         """If the first run overshot by an ulp, this raised ValueError."""
-        env = Environment(initial_time=now, scheduler=scheduler)
+        env = Environment(initial_time=now)
 
         def ticker(env):
             while True:
@@ -537,11 +534,10 @@ class TestRunUntilDrift:
         env.run(until=target)  # same instant: legal, advances nothing
         assert env.now == target
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_events_at_the_stop_instant_still_fire_first(self, scheduler):
+    def test_events_at_the_stop_instant_still_fire_first(self):
         """The stop event is scheduled below NORMAL priority, so work
         landing at exactly t=until runs before the run() returns."""
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         fired = []
 
         def proc(env):
@@ -554,8 +550,8 @@ class TestRunUntilDrift:
 
 
 class TestStepRunEquivalence:
-    """step() and run() share one dispatch path; interleaving them
-    cannot change the trajectory."""
+    """run() inlines step()'s dispatch; interleaving them cannot change
+    the trajectory."""
 
     @staticmethod
     def _workload(env, trace):
@@ -567,14 +563,13 @@ class TestStepRunEquivalence:
         env.process(chain(env, "a"))
         env.process(chain(env, "b"))
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_interleaved_step_run_matches_pure_run(self, scheduler):
-        pure = Environment(scheduler=scheduler)
+    def test_interleaved_step_run_matches_pure_run(self):
+        pure = Environment()
         pure_trace = []
         self._workload(pure, pure_trace)
         pure.run()
 
-        mixed = Environment(scheduler=scheduler)
+        mixed = Environment()
         mixed_trace = []
         self._workload(mixed, mixed_trace)
         for _ in range(3):
@@ -584,60 +579,3 @@ class TestStepRunEquivalence:
             mixed.step()  # ...then stepped to exhaustion
         assert mixed_trace == pure_trace
         assert mixed.now == pure.now
-
-
-class TestSchedulerSelection:
-    def test_default_scheduler(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        assert DEFAULT_SCHEDULER in SCHEDULERS
-        assert Environment().scheduler == DEFAULT_SCHEDULER
-
-    @pytest.mark.parametrize("name", SCHEDULERS)
-    def test_explicit_argument(self, name):
-        assert Environment(scheduler=name).scheduler == name
-
-    def test_env_var_selects(self, monkeypatch):
-        for name in SCHEDULERS:
-            monkeypatch.setenv("REPRO_SCHEDULER", name)
-            assert Environment().scheduler == name
-
-    def test_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert Environment(scheduler="heap").scheduler == "heap"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Environment(scheduler="btree")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("btree")
-
-    def test_resolve_normalizes_case(self):
-        assert resolve_scheduler(" HEAP ") == "heap"
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_identical_trajectories(self, scheduler):
-        """The cheap end-to-end check; the full-experiment version
-        lives in tests/serving/test_scheduler_determinism.py."""
-        env = Environment(scheduler=scheduler)
-        trace = []
-
-        def proc(env, tag, delay):
-            for _ in range(20):
-                yield env.timeout(delay)
-                trace.append((env.now, tag))
-
-        env.process(proc(env, "x", 0.3))
-        env.process(proc(env, "y", 0.7))
-        env.run()
-        reference = Environment(scheduler="heap")
-        ref_trace = []
-
-        def ref_proc(env, tag, delay):
-            for _ in range(20):
-                yield env.timeout(delay)
-                ref_trace.append((env.now, tag))
-
-        reference.process(ref_proc(reference, "x", 0.3))
-        reference.process(ref_proc(reference, "y", 0.7))
-        reference.run()
-        assert trace == ref_trace
