@@ -20,7 +20,7 @@ can depend on ``repro.kernel`` alone.
 from ..sim.containers import Container
 from ..sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from ..sim.process import Initialize, Interrupt, Process
-from ..sim.resources import PriorityResource, Release, Request, Resource
+from ..sim.resources import PriorityResource, Request, Resource
 from ..sim.rng import RandomStreams
 from ..sim.stores import FilterStore, PriorityItem, PriorityStore, Store
 from .base import ExecutionBackend, is_realtime, run_until
@@ -50,7 +50,6 @@ __all__ = [
     "PriorityStore",
     "Process",
     "RandomStreams",
-    "Release",
     "Request",
     "Resource",
     "Store",

@@ -19,7 +19,7 @@ from .engine import EmptySchedule, Environment
 from .monitor import Counter, Gauge, Monitor, Series
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Initialize, Interrupt, Process
-from .resources import PriorityResource, Release, Request, Resource
+from .resources import PriorityResource, Request, Resource
 from .rng import RandomStreams
 from .stores import FilterStore, PriorityItem, PriorityStore, Store
 
@@ -44,7 +44,6 @@ __all__ = [
     "PriorityStore",
     "Process",
     "RandomStreams",
-    "Release",
     "Request",
     "Resource",
     "Store",

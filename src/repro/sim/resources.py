@@ -16,7 +16,9 @@ supported::
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
 from .events import Event
@@ -24,7 +26,7 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Request", "Release", "Resource", "PriorityResource"]
+__all__ = ["Request", "Resource", "PriorityResource"]
 
 
 class Request(Event):
@@ -44,8 +46,8 @@ class Request(Event):
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        # Cancel if still queued, release if granted; both are idempotent
-        # through Resource.release/cancel.
+        # Resource.release frees the slot if granted and cancels the
+        # request if still queued; it is a no-op once the request is gone.
         self.resource.release(self)
 
     @property
@@ -66,21 +68,9 @@ class PriorityRequest(Request):
         self.order: int = 0
         super().__init__(resource)
 
-    @property
-    def key(self):
-        return (self.priority, self.order)
 
-
-class Release(Event):
-    """Immediate event confirming a release (for symmetry with SimPy)."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        resource._do_release(request)
-        self.succeed()
+#: Sort key of a queued :class:`PriorityRequest`: priority, then FIFO.
+_priority_order = attrgetter("priority", "order")
 
 
 class Resource:
@@ -92,7 +82,7 @@ class Resource:
         self.env = env
         self._capacity = capacity
         # FIFO grant queue: deque for the O(1) pop in _next_request
-        # (PriorityResource swaps in a sortable list).
+        # (PriorityResource swaps in a sorted list).
         self.queue = self._new_queue()
         self.users: List[Request] = []
         # Utilization accounting: busy slot-seconds integrated over time.
@@ -118,22 +108,34 @@ class Resource:
         """Request a slot; the returned event succeeds when granted."""
         return Request(self)
 
-    def release(self, request: Request) -> Optional[Release]:
+    def release(self, request: Request) -> None:
         """Release a granted slot or cancel a queued request.
 
-        Safe to call more than once for the same request (subsequent calls
-        are no-ops), which makes ``with`` blocks robust.
+        A freed slot goes to the next queued request at once, whose
+        :class:`Request` event is scheduled; the release itself schedules
+        nothing, as nobody can wait on it.  Safe to call more than once
+        for the same request (subsequent calls are no-ops), which makes
+        ``with`` blocks robust.
         """
-        if request in self.users or request in self.queue:
-            return Release(self, request)
-        return None
+        users = self.users
+        if request in users:
+            self._account()
+            users.remove(request)
+            queue = self.queue
+            while queue and len(users) < self._capacity:
+                self._grant(self._next_request())
+        elif request in self.queue:
+            # Cancelled while still waiting.
+            self.queue.remove(request)
 
     # -- accounting --------------------------------------------------------
 
-    def _account(self) -> None:
+    def _account(self) -> float:
+        """Integrate busy slot-seconds up to now; returns now."""
         now = self.env.now
         self._busy_time += len(self.users) * (now - self._last_change)
         self._last_change = now
+        return now
 
     def busy_time(self) -> float:
         """Total busy slot-seconds accumulated up to the current time."""
@@ -164,34 +166,15 @@ class Resource:
         self.queue.append(request)
 
     def _grant(self, request: Request) -> None:
-        self._account()
+        request.usage_since = self._account()
         self.users.append(request)
-        request.usage_since = self.env.now
         request.succeed()
-
-    def _do_release(self, request: Request) -> None:
-        if request in self.users:
-            self._account()
-            self.users.remove(request)
-            self._dispatch()
-        elif request in self.queue:
-            # Cancelled while still waiting.
-            self.queue.remove(request)
 
     def _new_queue(self):
         return deque()
 
-    def _next_request(self) -> Optional[Request]:
-        if not self.queue:
-            return None
+    def _next_request(self) -> Request:
         return self.queue.popleft()
-
-    def _dispatch(self) -> None:
-        while len(self.users) < self._capacity:
-            request = self._next_request()
-            if request is None:
-                return
-            self._grant(request)
 
 
 class PriorityResource(Resource):
@@ -202,28 +185,19 @@ class PriorityResource(Resource):
         self._order = itertools.count()
 
     def _new_queue(self):
-        # Sorted in (priority, FIFO) order on insert; needs list.sort.
+        # A list kept sorted by (priority, order) by _enqueue.
         return []
 
-    def _next_request(self) -> Optional[Request]:
-        if not self.queue:
-            return None
+    def _next_request(self) -> Request:
         return self.queue.pop(0)
 
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
         return PriorityRequest(self, priority)
 
-    def _enqueue(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        request.order = next(self._order)
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
-
     def _do_request(self, request: Request) -> None:
         assert isinstance(request, PriorityRequest)
         request.order = next(self._order)
-        if len(self.users) < self._capacity:
-            self._grant(request)
-        else:
-            self.queue.append(request)
-            self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
+        super()._do_request(request)
+
+    def _enqueue(self, request: Request) -> None:
+        insort(self.queue, request, key=_priority_order)

@@ -125,6 +125,42 @@ class TestResource:
         env.run()
         assert res.count == 0
 
+    def test_release_without_waiter_schedules_nothing(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        req = res.request()
+        env.run()
+        pending = env.pending
+        assert res.release(req) is None
+        assert env.pending == pending
+        assert res.count == 0
+
+    def test_release_schedules_only_the_waiters_grant(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        held = res.request()
+        waiting = res.request()
+        env.run()
+        assert env.pending == 0
+        res.release(held)
+        assert env.pending == 1
+        assert res.users == [waiting]
+        env.step()
+        assert waiting.processed
+        assert env.pending == 0
+
+    def test_cancel_through_with_exit_schedules_nothing(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        held = res.request()
+        env.run()
+        with res.request() as queued:
+            assert list(res.queue) == [queued]
+        assert env.pending == 0
+        assert len(res.queue) == 0
+        assert res.users == [held]
+        assert not queued.triggered
+
     def test_wait_time_accounting(self):
         env = Environment()
         res = Resource(env, capacity=1)
@@ -182,8 +218,9 @@ class TestPriorityResource:
         env.process(waiter(env, "low", 5, 1))
         env.process(waiter(env, "high", 1, 2))
         env.process(waiter(env, "mid", 3, 3))
+        env.process(waiter(env, "high-later", 1, 4))
         env.run()
-        assert order == ["high", "mid", "low"]
+        assert order == ["high", "high-later", "mid", "low"]
 
     def test_fifo_within_priority(self):
         env = Environment()
