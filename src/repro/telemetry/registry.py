@@ -52,6 +52,16 @@ OVERFLOW_LABEL_VALUE = "_overflow_"
 Exemplar = Tuple[str, float, Optional[float]]
 
 
+class _Totals:
+    """Children and dropped series across one registry's families."""
+
+    __slots__ = ("series", "dropped")
+
+    def __init__(self) -> None:
+        self.series = 0
+        self.dropped = 0
+
+
 def _check_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise ValueError(f"invalid metric name {name!r}")
@@ -276,6 +286,7 @@ class MetricFamily:
         labelnames: Sequence[str],
         factory: Callable[[], object],
         max_children: Optional[int] = None,
+        totals: Optional[_Totals] = None,
     ) -> None:
         self.name = _check_name(name)
         self.kind = kind
@@ -292,6 +303,8 @@ class MetricFamily:
         #: Series dropped (or spilled) because the cap was hit.
         self.dropped_series = 0
         self._warned_overflow = False
+        #: Running totals of the owning registry (its own when standalone).
+        self._totals = totals if totals is not None else _Totals()
 
     def _overflow_key(self) -> LabelPairs:
         return tuple((name, OVERFLOW_LABEL_VALUE) for name in self.labelnames)
@@ -305,6 +318,7 @@ class MetricFamily:
 
     def _note_overflow(self) -> None:
         self.dropped_series += 1
+        self._totals.dropped += 1
         if not self._warned_overflow:
             self._warned_overflow = True
             warnings.warn(
@@ -337,6 +351,7 @@ class MetricFamily:
         if child is None:
             child = self._factory()
             self._children[key] = child
+            self._totals.series += 1
         return child
 
     def add_callback_child(self, fn: Callable[[], float], **labelvalues: str):
@@ -359,6 +374,7 @@ class MetricFamily:
             return None
         child = Counter(fn) if self.kind == "counter" else Gauge(fn)
         self._children[key] = child
+        self._totals.series += 1
         return child
 
     def samples(self) -> List[Tuple[LabelPairs, object]]:
@@ -390,11 +406,21 @@ class MetricsRegistry:
             )
         self.max_series_per_family = max_series_per_family
         self._families: Dict[str, MetricFamily] = {}
+        self._totals = _Totals()
+
+    @property
+    def series_count(self) -> int:
+        """Children (label combinations) across all families.
+
+        Families and children are only ever added, so a change in this
+        count is how a reader notices the registry has grown.
+        """
+        return self._totals.series
 
     @property
     def dropped_series(self) -> int:
         """Total series dropped/spilled across all families (cap hits)."""
-        return sum(family.dropped_series for family in self._families.values())
+        return self._totals.dropped
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
@@ -431,7 +457,7 @@ class MetricsRegistry:
         else:
             family = MetricFamily(
                 name, kind, help_text, labelnames, factory,
-                max_children=self.max_series_per_family,
+                max_children=self.max_series_per_family, totals=self._totals,
             )
             self._families[name] = family
         if family.labelnames:
@@ -466,7 +492,8 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, "counter", help_text, tuple(sorted(labels)),
-                                  Counter, max_children=self.max_series_per_family)
+                                  Counter, max_children=self.max_series_per_family,
+                                  totals=self._totals)
             self._families[name] = family
         family.add_callback_child(fn, **labels)
 
@@ -476,7 +503,8 @@ class MetricsRegistry:
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, "gauge", help_text, tuple(sorted(labels)),
-                                  Gauge, max_children=self.max_series_per_family)
+                                  Gauge, max_children=self.max_series_per_family,
+                                  totals=self._totals)
             self._families[name] = family
         family.add_callback_child(fn, **labels)
 
@@ -570,17 +598,16 @@ class RegistrySnapshot:
                     samples.append(sample)
                     continue
                 if metric["kind"] == "histogram":
-                    prev_buckets = dict(prev["buckets"])
-                    buckets = [
-                        (le, count - prev_buckets.get(le, 0))
-                        for le, count in sample["buckets"]
-                    ]
+                    buckets = bucket_window(sample["buckets"], dict(prev["buckets"]))
                     windowed = {
                         "labels": sample["labels"],
                         "count": sample["count"] - prev["count"],
                         "sum": sample["sum"] - prev["sum"],
                         "buckets": buckets,
-                        "percentiles": _bucket_percentiles(buckets),
+                        "percentiles": {
+                            label: bucket_quantile(buckets, q)
+                            for label, q in _PERCENTILES
+                        },
                     }
                     if "exemplars" in sample:
                         # Exemplars are point-in-time references, not
@@ -598,18 +625,33 @@ class RegistrySnapshot:
         return RegistrySnapshot(at_time=self.at_time, metrics=metrics)
 
 
-def _bucket_percentiles(cumulative: List[Tuple[float, int]]) -> Dict[str, float]:
-    """Percentiles from cumulative (le, count) pairs (windowed views)."""
+#: The reporting set of windowed percentiles in :meth:`RegistrySnapshot.delta`.
+_PERCENTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p99.9", 0.999))
+
+
+def bucket_window(
+    cumulative: List[Tuple[float, int]], earlier: Dict[float, int]
+) -> List[Tuple[float, int]]:
+    """Cumulative (le, count) pairs minus an earlier reading's, bound by bound.
+
+    ``earlier`` maps each bound to its cumulative count.  A bound the
+    earlier reading lacks subtracts 0, so a bucket that first appears
+    between older ones over-counts the window: a known defect, kept
+    because fixing it changes every pinned scraped series.
+    """
+    return [(le, count - earlier.get(le, 0)) for le, count in cumulative]
+
+
+def bucket_quantile(cumulative: List[Tuple[float, int]], q: float) -> float:
+    """Upper-bound quantile estimate from cumulative (le, count) pairs.
+
+    The bound of the first bucket whose running count reaches ``q`` of
+    the last one; 0.0 for an empty window.
+    """
     if not cumulative or cumulative[-1][1] <= 0:
-        return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "p99.9": 0.0}
-    total = cumulative[-1][1]
-    out: Dict[str, float] = {}
-    for label, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p99.9", 0.999)):
-        rank = q * total
-        value = cumulative[-1][0]
-        for le, running in cumulative:
-            if running >= rank:
-                value = le
-                break
-        out[label] = value
-    return out
+        return 0.0
+    rank = q * cumulative[-1][1]
+    for le, running in cumulative:
+        if running >= rank:
+            return le
+    return cumulative[-1][0]

@@ -8,9 +8,10 @@ True)`` the tick sequence is dispatched in exact DES order, which makes
 the sampled series byte-identical across backends (pinned by the parity
 tests).
 
-Each tick takes one registry snapshot and turns it into store points:
+Each tick reads every registry child through a *scrape plan* and
+turns it into store points:
 
-- **raw values** for every counter and gauge sample;
+- **raw values** for every counter and gauge child;
 - **recording rules** over the window since the previous tick:
   ``name:rate`` (per-second increase) for counters and histograms, and
   ``name:p50`` / ``name:p95`` / ``name:p99`` windowed latency quantiles
@@ -23,6 +24,15 @@ Each tick takes one registry snapshot and turns it into store points:
   evaluated against the freshly recorded points, each exported as a
   0/1 ``alert:<name>`` series plus a transition log.
 
+The plan holds one entry per registry child: the
+:class:`~repro.telemetry.timeseries.SeriesBuffer` rings it writes and
+its previous reading (a counter's value; a histogram's count and
+cumulative buckets), which is what each window subtracts.  Families and
+children are only ever added, so the plan is rebuilt only when
+:attr:`MetricsRegistry.series_count` changes.  A rebuild keeps the
+readings of existing children; a new child starts from zero, so its
+first window is its full value.
+
 Like the :class:`~repro.sim.monitor.Monitor` it is modelled on, the
 scraper is strictly observational: sampling draws no randomness and
 mutates no component state; its only event-loop interaction is the
@@ -34,9 +44,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .registry import MetricsRegistry, RegistrySnapshot
+from .registry import LabelPairs, MetricsRegistry, bucket_quantile, bucket_window
 from .slo import SloTracker
-from .timeseries import AlertRule, TimeSeriesStore
+from .timeseries import AlertRule, SeriesBuffer, TimeSeriesStore
 
 __all__ = ["MetricsScraper"]
 
@@ -48,16 +58,78 @@ DEFAULT_QUANTILES: Tuple[Tuple[str, float], ...] = (
 )
 
 
-def _window_quantile(cumulative: Sequence[Tuple[float, int]], q: float) -> float:
-    """Upper-bound quantile estimate from cumulative (le, count) pairs."""
-    if not cumulative or cumulative[-1][1] <= 0:
-        return 0.0
-    total = cumulative[-1][1]
-    rank = q * total
-    for le, running in cumulative:
-        if running >= rank:
-            return le
-    return cumulative[-1][0]
+class _CounterEntry:
+    """Plan entry of one counter child: the raw value and ``:rate``."""
+
+    __slots__ = ("instrument", "raw", "rate", "previous")
+
+    def __init__(self, instrument, raw: SeriesBuffer, rate: SeriesBuffer) -> None:
+        self.instrument = instrument
+        self.raw = raw
+        self.rate = rate
+        self.previous = 0.0
+
+    def record(self, now: float, span: float) -> None:
+        value = self.instrument.value
+        self.raw.append(now, value)
+        self.rate.append(now, (value - self.previous) / span if span > 0 else 0.0)
+        self.previous = value
+
+
+class _GaugeEntry:
+    """Plan entry of one gauge child: the raw value only (a level)."""
+
+    __slots__ = ("instrument", "raw")
+
+    def __init__(self, instrument, raw: SeriesBuffer) -> None:
+        self.instrument = instrument
+        self.raw = raw
+
+    def record(self, now: float, span: float) -> None:
+        self.raw.append(now, self.instrument.value)
+
+
+class _HistogramEntry:
+    """Plan entry of one histogram child: ``:count``, ``:rate`` and the
+    windowed quantiles."""
+
+    __slots__ = ("instrument", "count", "rate", "quantiles",
+                 "previous_count", "previous_buckets")
+
+    def __init__(
+        self,
+        instrument,
+        count: SeriesBuffer,
+        rate: SeriesBuffer,
+        quantiles: Sequence[Tuple[float, SeriesBuffer]],
+    ) -> None:
+        self.instrument = instrument
+        self.count = count
+        self.rate = rate
+        self.quantiles = tuple(quantiles)
+        self.previous_count = 0
+        #: Cumulative count per bucket bound at the previous reading.
+        self.previous_buckets: Dict[float, int] = {}
+
+    def record(self, now: float, span: float) -> None:
+        histogram = self.instrument
+        count = histogram.count
+        self.count.append(now, count)
+        self.rate.append(
+            now, (count - self.previous_count) / span if span > 0 else 0.0
+        )
+        if count == self.previous_count:
+            # Nothing observed since the last reading: every windowed
+            # bucket is 0, so every quantile is 0.0.
+            for _, buffer in self.quantiles:
+                buffer.append(now, 0.0)
+            return
+        cumulative = histogram.cumulative_buckets()
+        windowed = bucket_window(cumulative, self.previous_buckets)
+        for q, buffer in self.quantiles:
+            buffer.append(now, bucket_quantile(windowed, q))
+        self.previous_count = count
+        self.previous_buckets = dict(cumulative)
 
 
 class _AlertState:
@@ -96,7 +168,12 @@ class MetricsScraper:
         #: Alert transitions: dicts of (alert, state, time, value).
         self.alert_log: List[Dict[str, object]] = []
         self.samples_taken = 0
-        self._prev: Optional[RegistrySnapshot] = None
+        #: Plan entries in registry order, keyed by (family, labels).
+        self._plan: Dict[Tuple[str, LabelPairs], object] = {}
+        self._planned_series = -1
+        #: (window, buffer) of each SLO burn-rate series, set with the plan.
+        self._burn: List[Tuple[float, SeriesBuffer]] = []
+        self._dropped: Optional[SeriesBuffer] = None
         self._prev_time = 0.0
         self._running = False
         # Same epoch guard as sim.monitor.Monitor: a sampler process
@@ -129,54 +206,64 @@ class MetricsScraper:
 
     # -- one tick -------------------------------------------------------------
 
-    def scrape(self) -> RegistrySnapshot:
+    def scrape(self) -> None:
         """Take one sample of every instrument into the store."""
         now = self.env.now
-        snapshot = self.registry.snapshot(at_time=now)
-        windowed = snapshot.delta(self._prev) if self._prev is not None else snapshot
         span = now - self._prev_time
-        window_samples = {
-            (metric["name"], tuple(sorted(sample["labels"].items()))): sample
-            for metric in windowed.metrics
-            for sample in metric["samples"]
-        }
-        for metric in snapshot.metrics:
-            name = metric["name"]
-            kind = metric["kind"]
-            for sample in metric["samples"]:
-                labels = sample["labels"] or None
-                key = (name, tuple(sorted(sample["labels"].items())))
-                window = window_samples.get(key, sample)
-                if kind == "histogram":
-                    self.store.record(f"{name}:count", now, sample["count"], labels)
-                    rate = window["count"] / span if span > 0 else 0.0
-                    self.store.record(f"{name}:rate", now, rate, labels)
-                    for suffix, q in self.quantiles:
-                        self.store.record(
-                            f"{name}:{suffix}", now,
-                            _window_quantile(window["buckets"], q), labels,
-                        )
-                elif kind == "counter":
-                    self.store.record(name, now, sample["value"], labels)
-                    rate = window["value"] / span if span > 0 else 0.0
-                    self.store.record(f"{name}:rate", now, rate, labels)
-                else:
-                    self.store.record(name, now, sample["value"], labels)
-        if self.slo is not None:
-            for window_seconds in self.slo.config.burn_windows_seconds:
-                self.store.record(
-                    "repro_slo_burn_rate", now,
-                    self.slo.burn_rate(window_seconds, now),
-                    {"window": _format_window(window_seconds)},
-                )
-        self.store.record(
-            "repro_metrics_dropped_series_total", now, self.registry.dropped_series
-        )
+        if self.registry.series_count != self._planned_series:
+            self._rebuild_plan()
+        for entry in self._plan.values():
+            entry.record(now, span)
+        for window_seconds, buffer in self._burn:
+            buffer.append(now, self.slo.burn_rate(window_seconds, now))
+        self._dropped.append(now, self.registry.dropped_series)
         self._evaluate_alerts(now)
         self.samples_taken += 1
-        self._prev = snapshot
         self._prev_time = now
-        return snapshot
+
+    def _rebuild_plan(self) -> None:
+        """One plan entry per registry child, in registry order.
+
+        Entries of children already planned are kept, previous readings
+        included; only a new child's entry starts from zero.  The SLO
+        burn-rate and dropped-series buffers are looked up here too.
+        """
+        old = self._plan
+        self._plan = {}
+        store = self.store
+        for name in self.registry.names:
+            family = self.registry.family(name)
+            for labelpairs, instrument in family.samples():
+                key = (name, labelpairs)
+                entry = old.get(key)
+                if entry is None:
+                    labels = dict(labelpairs) or None
+                    if family.kind == "histogram":
+                        entry = _HistogramEntry(
+                            instrument,
+                            store.series(f"{name}:count", labels),
+                            store.series(f"{name}:rate", labels),
+                            [(q, store.series(f"{name}:{suffix}", labels))
+                             for suffix, q in self.quantiles],
+                        )
+                    elif family.kind == "counter":
+                        entry = _CounterEntry(
+                            instrument,
+                            store.series(name, labels),
+                            store.series(f"{name}:rate", labels),
+                        )
+                    else:
+                        entry = _GaugeEntry(instrument, store.series(name, labels))
+                self._plan[key] = entry
+        self._planned_series = self.registry.series_count
+        if self.slo is not None:
+            self._burn = [
+                (window_seconds, store.series(
+                    "repro_slo_burn_rate", {"window": _format_window(window_seconds)}
+                ))
+                for window_seconds in self.slo.config.burn_windows_seconds
+            ]
+        self._dropped = store.series("repro_metrics_dropped_series_total")
 
     # -- alerts ---------------------------------------------------------------
 

@@ -168,6 +168,28 @@ class TestGoldenTraceScrape:
         assert (sim.telemetry.store.to_jsonl()
                 == live.telemetry.store.to_jsonl())
 
+    def test_ticks_take_no_registry_snapshot(self, monkeypatch):
+        # The scraper reads instruments through its plan; the one
+        # snapshot of the run is the closing session.snapshot().
+        taken = []
+        snapshot = MetricsRegistry.snapshot
+
+        def counting_snapshot(registry, at_time=None):
+            taken.append(at_time)
+            return snapshot(registry, at_time)
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counting_snapshot)
+        result = run_open_loop(
+            _config(
+                max_sim_seconds=12000.0,
+                telemetry=SCRAPED.with_overrides(scrape_interval_seconds=60.0),
+            ),
+            workload=Workload.replay(GOLDEN_TRACE),
+        )
+        session = result.telemetry
+        assert session.scraper.samples_taken > 100
+        assert taken == [session.finalized_at]
+
     def test_golden_replay_telemetry_is_observer_neutral(self):
         kwargs = dict(model="tinyvit-5m", measure_requests=60,
                       max_sim_seconds=12000.0)
