@@ -39,7 +39,7 @@ from .config import (
     ShardPlan,
     route_hash_cell,
 )
-from .fluid import FluidCellModel, zero_load_profile
+from .fluid import FluidCellModel, ZeroLoadProfiles, zero_load_profile
 from .records import SPAN_NETWORK, CompletionRecord, canonical_order, merge_records
 from .runner import ClusterResult, ShardSummary, run_cluster_experiment
 from .shards import ShardPoint, ShardRuntime, arrival_stream, run_shard_point
@@ -70,6 +70,7 @@ __all__ = [
     "ShardSummary",
     "TraceSampler",
     "TraceSpanRecord",
+    "ZeroLoadProfiles",
     "arrival_stream",
     "canonical_order",
     "cluster_timeseries",

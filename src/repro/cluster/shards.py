@@ -36,7 +36,7 @@ from .config import (
     ClusterConfig,
     route_hash_cell,
 )
-from .fluid import FluidCellModel
+from .fluid import FluidCellModel, ZeroLoadProfiles
 from .records import SPAN_NETWORK, CompletionRecord
 
 __all__ = [
@@ -132,6 +132,7 @@ class CellRuntime:
         server_config: ServerConfig,
         calibration: Calibration,
         resilience: Optional[ResiliencePolicy],
+        profiles: ZeroLoadProfiles,
         tracer=None,
     ) -> None:
         self.env = env
@@ -152,7 +153,7 @@ class CellRuntime:
         self.fluid: Optional[FluidCellModel] = None
         if cluster.fluid:
             self.fluid = FluidCellModel(
-                server_config, calibration, cluster.gpu_count,
+                profiles,
                 hot_threshold=cluster.fluid_hot_threshold,
                 hot_window_seconds=cluster.fluid_hot_window_seconds,
             )
@@ -263,6 +264,9 @@ class ShardRuntime:
         #: topology, invariant to the shard packing.
         self.trace_limit = trace_limit
         self.env = Environment()
+        #: Zero-load probes shared by this shard's fluid cells.
+        self.profiles = ZeroLoadProfiles(
+            server_config, calibration, cluster.gpu_count)
         self.cells: Dict[int, CellRuntime] = {}
         self.delivered = 0
 
@@ -276,7 +280,8 @@ class ShardRuntime:
                 tracer = Tracer(limit=self.trace_limit, only_traced=True)
             runtime = CellRuntime(
                 self.env, cell_id, self.cluster, self.server_config,
-                self.calibration, self.resilience, tracer=tracer,
+                self.calibration, self.resilience, self.profiles,
+                tracer=tracer,
             )
             self.cells[cell_id] = runtime
         return runtime

@@ -23,8 +23,10 @@ Three clock modes:
 
 External inputs (live HTTP handlers) run as asyncio tasks on the same
 loop.  They inject work by calling ordinary kernel methods
-(``env.process(...)``, ``store.put(...)``); every ``schedule`` pokes the
-dispatch loop awake, so injected events are picked up immediately.  Call
+(``env.process(...)``, ``store.put(...)``, ``env.timeout(...)``): every
+``schedule``, ``schedule_at`` and ``timeout`` wakes a parked dispatch
+loop, so injected events are picked up immediately.  While the loop is
+dispatching, that wake-up costs one attribute check.  Call
 :meth:`touch` first so ``now`` reflects the wall clock at injection time
 (between dispatches the cached ``now`` lags).
 """
@@ -37,7 +39,7 @@ from heapq import heappop
 from typing import Any, Optional
 
 from ..sim.engine import Environment, StopSimulation, _stop_simulation
-from ..sim.events import NORMAL, PENDING, Event
+from ..sim.events import NORMAL, PENDING, Event, Timeout
 
 __all__ = ["AsyncioBackend"]
 
@@ -55,6 +57,7 @@ class AsyncioBackend(Environment):
         "_wall_origin",
         "_virtual_origin",
         "_wakeup",
+        "_parked",
         "_stop_requested",
         "_running",
     )
@@ -78,6 +81,8 @@ class AsyncioBackend(Environment):
         self._wall_origin: Optional[float] = None
         self._virtual_origin = float(initial_time)
         self._wakeup: Optional[asyncio.Event] = None
+        #: True only while the dispatch loop sleeps in :meth:`_sleep_wall`.
+        self._parked = False
         self._stop_requested = False
         self._running = False
 
@@ -114,7 +119,14 @@ class AsyncioBackend(Environment):
             self._now = wall
         return self._now
 
-    # -- scheduling (poke the sleeping dispatch loop) ----------------------
+    # -- scheduling (poke the parked dispatch loop) -----------------------
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        # The base method pushes onto the queue without calling schedule().
+        timeout = Environment.timeout(self, delay, value)
+        if self._parked:
+            self._wakeup.set()
+        return timeout
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         super().schedule(event, priority, delay)
@@ -125,7 +137,8 @@ class AsyncioBackend(Environment):
         self._poke()
 
     def _poke(self) -> None:
-        if self._wakeup is not None and not self._wakeup.is_set():
+        # A loop that is dispatching re-reads the queue on its own.
+        if self._parked:
             self._wakeup.set()
 
     def request_stop(self) -> None:
@@ -271,10 +284,14 @@ class AsyncioBackend(Environment):
     async def _sleep_wall(self, seconds: Optional[float]) -> None:
         """Sleep wall time, waking early when new work is scheduled."""
         self._wakeup.clear()
-        if seconds is None:
-            await self._wakeup.wait()
-            return
+        self._parked = True
         try:
-            await asyncio.wait_for(self._wakeup.wait(), timeout=seconds)
-        except asyncio.TimeoutError:
-            pass
+            if seconds is None:
+                await self._wakeup.wait()
+                return
+            try:
+                await asyncio.wait_for(self._wakeup.wait(), timeout=seconds)
+            except asyncio.TimeoutError:
+                pass
+        finally:
+            self._parked = False

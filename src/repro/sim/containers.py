@@ -21,6 +21,8 @@ __all__ = ["Container", "ContainerPut", "ContainerGet"]
 class ContainerPut(Event):
     """Succeeds when ``amount`` has been added to the container."""
 
+    __slots__ = ("amount", "container")
+
     def __init__(self, container: "Container", amount: float) -> None:
         if amount < 0:
             raise ValueError(f"amount must be non-negative, got {amount}")
@@ -38,6 +40,8 @@ class ContainerPut(Event):
 
 class ContainerGet(Event):
     """Succeeds when ``amount`` has been removed from the container."""
+
+    __slots__ = ("amount", "container")
 
     def __init__(self, container: "Container", amount: float) -> None:
         if amount < 0:

@@ -248,6 +248,28 @@ class TestWallClock:
         asyncio.run(main())
         assert served == ["req-1"]
 
+    def test_bare_timeout_wakes_parked_loop(self):
+        """A timeout created outside dispatch (no process around it)
+        must wake a parked loop just as ``env.process(...)`` does."""
+        env = AsyncioBackend(time_scale=100.0)
+
+        async def main():
+            task = asyncio.get_running_loop().create_task(
+                env.run_async(stop_on_empty=False)
+            )
+            try:
+                await asyncio.sleep(0.005)
+                env.touch()
+                # 0.5 simulated s is 5 ms of wall time at x100; a loop
+                # left parked would never dispatch it.
+                return await asyncio.wait_for(
+                    env.as_future(env.timeout(0.5, "woke")), timeout=1.0)
+            finally:
+                env.request_stop()
+                await task
+
+        assert asyncio.run(main()) == "woke"
+
     def test_request_stop_exits_parked_loop(self):
         env = AsyncioBackend()
 
