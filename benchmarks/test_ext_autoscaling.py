@@ -12,19 +12,23 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import MetricsCollector, ServerConfig
-from repro.serving import (
-    AutoscaledFleet,
-    AutoscalerPolicy,
-    DiurnalArrivals,
-    Fleet,
-    PatternedClient,
-)
+from repro.serving import AutoscaledFleet, AutoscalerPolicy, Fleet, WorkloadClient
 from repro.sim import Environment, RandomStreams
 from repro.vision import reference_dataset
+from repro.workload import Workload
 
 SERVER = ServerConfig(model="resnet-50", preprocess_batch_size=64)
-ARRIVALS = lambda: DiurnalArrivals(mean_rate=7000, swing=0.7, period_seconds=18)
+#: 7000 * (1 + 0.7 sin(2 pi t / 18)): the quarter-period offset turns the
+#: curve's midnight trough into a rising start.
+WORKLOAD = Workload.diurnal(7000, swing=0.7, period_seconds=18,
+                            phase_offset_seconds=4.5)
 HORIZON = 36.0
+
+
+def _drive(env, fleet):
+    source = WORKLOAD.source(RandomStreams(0), prefix="patterned",
+                             default_dataset=reference_dataset("medium"))
+    WorkloadClient(env, fleet, source)
 
 
 def _run_static(nodes):
@@ -32,8 +36,7 @@ def _run_static(nodes):
     collector = MetricsCollector()
     collector.arm(0.0)
     fleet = Fleet(env, nodes, SERVER, per_node_cap=512, metrics=collector)
-    PatternedClient(env, fleet, reference_dataset("medium"), ARRIVALS(),
-                    RandomStreams(0))
+    _drive(env, fleet)
     env.run(until=HORIZON)
     collector.disarm(env.now)
     return {"metrics": collector.finalize(), "node_seconds": nodes * HORIZON}
@@ -51,8 +54,7 @@ def _run_autoscaled():
         cooldown_seconds=0.5,
     )
     fleet = AutoscaledFleet(env, SERVER, policy, metrics=collector)
-    PatternedClient(env, fleet, reference_dataset("medium"), ARRIVALS(),
-                    RandomStreams(0))
+    _drive(env, fleet)
     # Integrate active-node-seconds from the scaling timeline.
     node_seconds = 0.0
     last_time, last_nodes = 0.0, policy.min_nodes

@@ -21,13 +21,14 @@ from repro.analysis import format_table, resilience_summary
 from repro.core import ServerConfig
 from repro.faults import FaultPlan, gpu_crash_plan, run_fault_experiment, sweep_fault_rates
 from repro.serving import ResiliencePolicy, run_fleet_experiment
+from repro.workload import Workload
 
 SERVER = ServerConfig(model="resnet-50")
-LOAD = dict(node_count=2, offered_rate=150.0, warmup_requests=200,
+LOAD = dict(node_count=2, workload=Workload.constant(150.0), warmup_requests=200,
             measure_requests=1200, seed=0)
 #: Long enough (~40 simulated seconds) that a 1 % downtime profile
 #: (mtbf ~49.5 s per GPU, two GPUs) reliably fires.
-LONG_LOAD = dict(node_count=2, offered_rate=200.0, warmup_requests=300,
+LONG_LOAD = dict(node_count=2, workload=Workload.constant(200.0), warmup_requests=300,
                  measure_requests=8000, seed=0, max_sim_seconds=60.0)
 #: Restart (0.5 s) deliberately exceeds the deadline (0.25 s) throughout:
 #: a crash must surface as attempt timeouts, not just a slow success.

@@ -14,6 +14,7 @@ from repro.analysis import format_rate, format_table
 from repro.core import ServerConfig
 from repro.serving import plan_capacity, run_fleet_experiment
 from repro.vision import reference_dataset
+from repro.workload import Workload
 
 SERVER = ServerConfig(model="resnet-50", preprocess_batch_size=64)
 OFFERED = 16000.0
@@ -25,8 +26,7 @@ def run_fleet_sweep():
         result = run_fleet_experiment(
             SERVER,
             node_count=nodes,
-            offered_rate=OFFERED,
-            dataset=reference_dataset("medium"),
+            workload=Workload.constant(OFFERED, dataset=reference_dataset("medium")),
             warmup_requests=1500,
             measure_requests=3000,
         )

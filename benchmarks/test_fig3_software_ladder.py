@@ -19,6 +19,7 @@ from repro.core import ServerConfig
 from repro.core.tuner import tune_server
 from repro.serving import ExperimentConfig, run_experiment, run_open_loop
 from repro.vision import reference_dataset
+from repro.workload import Workload
 
 DATASET = reference_dataset("medium")
 LADDER_CONCURRENCY = 256
@@ -73,7 +74,7 @@ def run_ladder():
             measure_requests=1200,
             max_sim_seconds=30,
         ),
-        offered_rate=600,
+        workload=Workload.constant(600),
     )
     rows["TrIS + ONNX (fixed batch)"] = {
         "throughput": result.throughput,
@@ -92,7 +93,7 @@ def run_ladder():
             measure_requests=1200,
             max_sim_seconds=30,
         ),
-        offered_rate=600,
+        workload=Workload.constant(600),
     )
     rows["+ dynamic batching"] = {
         "throughput": result.throughput,

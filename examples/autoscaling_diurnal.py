@@ -12,14 +12,10 @@ Run:  python examples/autoscaling_diurnal.py
 
 from repro.analysis import format_table, sparkline
 from repro.core import MetricsCollector, ServerConfig
-from repro.serving import (
-    AutoscaledFleet,
-    AutoscalerPolicy,
-    DiurnalArrivals,
-    PatternedClient,
-)
+from repro.serving import AutoscaledFleet, AutoscalerPolicy, WorkloadClient
 from repro.sim import Environment, Monitor, RandomStreams
 from repro.vision import reference_dataset
+from repro.workload import Workload
 
 
 def main() -> None:
@@ -39,12 +35,15 @@ def main() -> None:
         policy,
         metrics=collector,
     )
-    arrivals = DiurnalArrivals(mean_rate=9000, swing=0.7, period_seconds=30)
-    PatternedClient(env, fleet, reference_dataset("medium"), arrivals,
-                    RandomStreams(0))
+    # 9000 * (1 + 0.7 sin(2 pi t / 30)): a rising start, peak at 7.5 s.
+    workload = Workload.diurnal(9000, swing=0.7, period_seconds=30,
+                                phase_offset_seconds=7.5)
+    source = workload.source(RandomStreams(0), prefix="patterned",
+                             default_dataset=reference_dataset("medium"))
+    WorkloadClient(env, fleet, source)
 
     monitor = Monitor(env, interval=1.0)
-    monitor.probe("offered_rate", lambda: arrivals.rate_at(env.now))
+    monitor.probe("offered_rate", lambda: workload.arrivals.rate_at(env.now))
     monitor.probe("active_nodes", lambda: fleet.active_count)
     monitor.probe("outstanding", lambda: fleet.total_outstanding)
     monitor.start()
@@ -62,7 +61,7 @@ def main() -> None:
         format_table(
             ["metric", "value"],
             [
-                ["mean offered", f"{arrivals.mean_rate:,.0f} req/s"],
+                ["mean offered", f"{workload.offered_rate_hint():,.0f} req/s"],
                 ["served", f"{metrics.throughput:,.0f} req/s"],
                 ["mean latency", f"{metrics.latency.mean * 1e3:.0f} ms"],
                 ["p99 latency", f"{metrics.latency.p99 * 1e3:.0f} ms"],

@@ -19,8 +19,9 @@ from repro.analysis import format_table, resilience_summary
 from repro.core import ServerConfig
 from repro.faults import FaultPlan, GpuCrash, run_fault_experiment
 from repro.serving import ResiliencePolicy, run_fleet_experiment
+from repro.workload import Workload
 
-LOAD = dict(node_count=2, offered_rate=150.0, warmup_requests=200,
+LOAD = dict(node_count=2, workload=Workload.constant(150.0), warmup_requests=200,
             measure_requests=1500, seed=0)
 #: Restart longer than the 250 ms deadline, so crashes are observable
 #: as attempt timeouts rather than merely slow successes.

@@ -21,7 +21,6 @@ batch-1 efficiency as Fused while also paying broker costs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -104,15 +103,6 @@ class FacePipelineConfig:
     def with_overrides(self, **kwargs) -> "FacePipelineConfig":
         """Copy with fields replaced."""
         return replace(self, **kwargs)
-
-    def with_(self, **kwargs) -> "FacePipelineConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "FacePipelineConfig.with_() is deprecated; use with_overrides()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**kwargs)
 
 
 class _Frame:

@@ -14,7 +14,6 @@ even more preprocessing-bound than image serving.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -68,15 +67,6 @@ class VideoServerConfig:
     def with_overrides(self, **kwargs) -> "VideoServerConfig":
         """Copy with fields replaced."""
         return replace(self, **kwargs)
-
-    def with_(self, **kwargs) -> "VideoServerConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "VideoServerConfig.with_() is deprecated; use with_overrides()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**kwargs)
 
 
 class _Clip:

@@ -8,7 +8,6 @@ Capacities are byte budgets; a tier with a zero budget is disabled.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -78,12 +77,3 @@ class CacheConfig:
     def with_overrides(self, **kwargs) -> "CacheConfig":
         """Copy with fields replaced."""
         return replace(self, **kwargs)
-
-    def with_(self, **kwargs) -> "CacheConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "CacheConfig.with_() is deprecated; use with_overrides()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**kwargs)

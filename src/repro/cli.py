@@ -25,11 +25,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from typing import Dict, List, Optional
 
 from .analysis.charts import bar_chart, stacked_bar_chart
-from .analysis.export import result_to_dict, write_csv, write_json
+from .analysis.export import write_csv, write_json
 from .analysis.tables import format_table
 from .analysis.breakdown import breakdown_from_metrics
 from .analysis.tracing import TraceCollector
@@ -107,33 +106,12 @@ def _run_points(task, points, workers: int) -> List[Dict]:
     return report.values
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Accepts a deprecated flag spelling with a warning."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        canonical = "--" + self.dest.replace("_", "-")
-        message = f"{option_string} is deprecated; use {canonical}"
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
-        # Default warning filters hide DeprecationWarning outside
-        # __main__; a CLI user still needs to see the notice.
-        print(f"warning: {message}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
-
-
 def _add_preprocess_device_flag(parser: argparse.ArgumentParser, default: str,
                                 choices: Optional[List[str]] = None,
                                 help_text: str = "preprocessing device") -> None:
-    """The canonical ``--preprocess-device`` flag plus its deprecated
-    ``--preprocess`` alias (kept for one release)."""
-    kwargs = {"default": default, "help": help_text}
-    if choices is not None:
-        kwargs["choices"] = choices
-    parser.add_argument("--preprocess-device", dest="preprocess_device", **kwargs)
-    alias_kwargs = {"dest": "preprocess_device", "action": _DeprecatedAlias,
-                    "default": argparse.SUPPRESS, "help": argparse.SUPPRESS}
-    if choices is not None:
-        alias_kwargs["choices"] = choices
-    parser.add_argument("--preprocess", **alias_kwargs)
+    """The ``--preprocess-device`` flag."""
+    parser.add_argument("--preprocess-device", dest="preprocess_device",
+                        default=default, choices=choices, help=help_text)
 
 
 def _int_list(text: str) -> List[int]:
@@ -614,6 +592,7 @@ def cmd_models(args) -> int:
 def cmd_faults(args) -> int:
     from .faults.experiment import sweep_fault_rates
     from .serving.resilience import ResiliencePolicy, RetryPolicy
+    from .workload import Workload
 
     try:
         fractions = _float_list(args.downtimes)
@@ -634,17 +613,11 @@ def cmd_faults(args) -> int:
         print("error: no downtime fractions given", file=sys.stderr)
         return 1
     try:
-        workload = _workload_from_args(args)
+        workload = _workload_from_args(args) or Workload.constant(
+            args.rate, dataset=reference_dataset(args.size))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if workload is not None:
-        load_kwargs = {"workload": workload}
-        rate_label = workload.offered_rate_hint()
-    else:
-        load_kwargs = {"offered_rate": args.rate,
-                       "dataset": reference_dataset(args.size)}
-        rate_label = args.rate
     points = sweep_fault_rates(
         ServerConfig(model=args.model, preprocess_device=args.preprocess_device,
                      preprocess_batch_size=64),
@@ -657,7 +630,7 @@ def cmd_faults(args) -> int:
         warmup_requests=args.warmup,
         measure_requests=args.requests,
         max_sim_seconds=args.max_seconds,
-        **load_kwargs,
+        workload=workload,
     )
     rows = [{"downtime_fraction": 0.0, **points[0].baseline.to_dict()}]
     for point in points:
@@ -682,7 +655,8 @@ def cmd_faults(args) -> int:
                  str(p.result.fault_count)]
                 for p in points
             ],
-            title=f"GPU-crash tolerance — {args.model}, {args.nodes} node(s) @ {rate_label:.0f} req/s",
+            title=f"GPU-crash tolerance — {args.model}, {args.nodes} node(s) "
+                  f"@ {workload.offered_rate_hint():.0f} req/s",
         )
     )
     print(bar_chart({f"{p.downtime_fraction * 100:.1f}%": p.goodput_ratio * 100 for p in points},

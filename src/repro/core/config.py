@@ -9,7 +9,6 @@ device choice the paper sweeps throughout Sec. 4.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -97,12 +96,3 @@ class ServerConfig:
     def with_overrides(self, **kwargs) -> "ServerConfig":
         """Copy with fields replaced (tuner convenience)."""
         return replace(self, **kwargs)
-
-    def with_(self, **kwargs) -> "ServerConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "ServerConfig.with_() is deprecated; use with_overrides()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**kwargs)

@@ -325,8 +325,8 @@ class MetricsCollector:
                 cache_hits[tier] = cache_hits.get(tier, 0) + 1
 
         # Per-phase completion counts ride in extras only when the load
-        # generator stamped phases — legacy runs keep empty extras (and
-        # therefore byte-identical exports).
+        # generator stamped phases — closed-loop and constant-rate runs
+        # keep empty extras (and therefore byte-identical exports).
         phase_counts: Dict[str, int] = {}
         for request in self._requests:
             phase = getattr(request, "workload_phase", None)

@@ -117,7 +117,8 @@ class InferenceRequest:
         self.served_from: Optional[str] = None
         #: Workload phase ("day", "night", "flash", "region:eu", ...)
         #: the arrival was issued under, or ``None`` when the load
-        #: generator carries no phase information (legacy clients).
+        #: generator carries no phase information (closed-loop and
+        #: constant-rate load).
         self.workload_phase = phase
         #: Timestamped ``(name, start, end)`` intervals, recorded only
         #: when a tracer armed the request (``None`` = recording off).

@@ -17,7 +17,6 @@ from ..core.config import ServerConfig
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..serving.fleet import FleetResult, run_fleet_experiment
 from ..serving.resilience import ResiliencePolicy
-from ..vision.datasets import Dataset
 from ..workload import Workload
 from .profiles import FaultPlan, gpu_crash_plan
 
@@ -29,8 +28,8 @@ def run_fault_experiment(
     faults: Optional[FaultPlan] = None,
     resilience: Optional[ResiliencePolicy] = None,
     node_count: int = 2,
-    offered_rate: float = 150.0,
-    dataset: Optional[Dataset] = None,
+    *,
+    workload: Workload,
     calibration: Calibration = DEFAULT_CALIBRATION,
     gpu_count: int = 1,
     per_node_cap: int = 512,
@@ -38,21 +37,16 @@ def run_fault_experiment(
     warmup_requests: int = 300,
     measure_requests: int = 2000,
     max_sim_seconds: float = 60.0,
-    workload: Optional[Workload] = None,
 ) -> FleetResult:
     """One fleet experiment under a fault plan.
 
     A thin front door over
     :func:`~repro.serving.fleet.run_fleet_experiment` that defaults the
     resilience policy on whenever a fault plan is active (running faults
-    without deadlines would just hang the tail).  ``workload`` overrides
-    the flat ``offered_rate``/``dataset`` knobs; without one, those map
-    onto ``Workload.constant`` (bit-identical to the old inline load).
+    without deadlines would just hang the tail).
     """
     if resilience is None and faults is not None and faults.enabled:
         resilience = ResiliencePolicy()
-    if workload is None:
-        workload = Workload.constant(offered_rate, dataset=dataset)
     return run_fleet_experiment(
         server_config,
         node_count=node_count,

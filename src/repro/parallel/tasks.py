@@ -44,35 +44,23 @@ def _tag_dict(tags: Tags) -> Dict[str, Any]:
 @dataclass(frozen=True, kw_only=True)
 class ExperimentPoint:
     """One single-node experiment: closed-loop, or open-loop when
-    ``offered_rate`` or ``workload`` is set."""
+    ``workload`` is set."""
 
     config: ExperimentConfig
-    offered_rate: Optional[float] = None
-    #: Open-loop workload spec; overrides ``offered_rate``.  A trace
-    #: replay point is picklable (the worker re-opens the file), so
-    #: sweeps over a recorded day parallelize like any other point.
+    #: Open-loop workload spec.  A trace replay point is picklable (the
+    #: worker re-opens the file), so sweeps over a recorded day
+    #: parallelize like any other point.
     workload: Optional[Workload] = None
     #: Extra row columns, e.g. ``(("concurrency", 64),)``.
     tags: Tags = ()
-
-    def __post_init__(self) -> None:
-        if self.workload is not None and self.offered_rate is not None:
-            raise ValueError("pass offered_rate or workload, not both")
 
 
 def run_experiment_point(point: ExperimentPoint) -> Dict[str, Any]:
     """Task: run one :class:`ExperimentPoint`, return its flat row."""
     if point.workload is not None:
         result = run_open_loop(point.config, workload=point.workload)
-    elif point.offered_rate is None:
-        result = run_experiment(point.config)
     else:
-        # Map the legacy rate onto the non-deprecated path; bit-identical
-        # to the old OpenLoopClient draw order.
-        result = run_open_loop(
-            point.config,
-            workload=Workload.constant(point.offered_rate, dataset=point.config.dataset),
-        )
+        result = run_experiment(point.config)
     return {**_tag_dict(point.tags), **result.to_dict()}
 
 
@@ -118,9 +106,8 @@ class FleetPoint:
     fault plan and resilience policy."""
 
     server: ServerConfig = field(default_factory=ServerConfig)
+    workload: Workload
     node_count: int = 2
-    offered_rate: float = 150.0
-    dataset: Optional[Any] = None
     calibration: Calibration = DEFAULT_CALIBRATION
     gpu_count: int = 1
     per_node_cap: int = 512
@@ -130,7 +117,6 @@ class FleetPoint:
     max_sim_seconds: float = 60.0
     resilience: Optional[Any] = None
     faults: Optional[Any] = None
-    workload: Optional[Workload] = None
     tags: Tags = ()
 
     def _run(self):
@@ -141,8 +127,7 @@ class FleetPoint:
             faults=self.faults,
             resilience=self.resilience,
             node_count=self.node_count,
-            offered_rate=self.offered_rate,
-            dataset=self.dataset,
+            workload=self.workload,
             calibration=self.calibration,
             gpu_count=self.gpu_count,
             per_node_cap=self.per_node_cap,
@@ -150,7 +135,6 @@ class FleetPoint:
             warmup_requests=self.warmup_requests,
             measure_requests=self.measure_requests,
             max_sim_seconds=self.max_sim_seconds,
-            workload=self.workload,
         )
 
 

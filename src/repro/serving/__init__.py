@@ -1,15 +1,7 @@
 """Load generation and the experiment runner."""
 
-from .client import ClosedLoopClient, OpenLoopClient
+from .client import ClosedLoopClient, WorkloadClient
 from .autoscaler import AutoscaledFleet, AutoscalerPolicy, ScalingEvent
-from .loadgen import (
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
-    PatternedClient,
-    PoissonArrivals,
-    WorkloadClient,
-)
 from .fleet import (
     CapacityPlan,
     Fleet,
@@ -33,15 +25,10 @@ __all__ = [
     "CircuitBreaker",
     "ResiliencePolicy",
     "RetryPolicy",
-    "ArrivalProcess",
     "AutoscaledFleet",
     "AutoscalerPolicy",
     "ScalingEvent",
-    "BurstyArrivals",
     "CapacityPlan",
-    "DiurnalArrivals",
-    "PatternedClient",
-    "PoissonArrivals",
     "WorkloadClient",
     "ClosedLoopClient",
     "Fleet",
@@ -52,7 +39,6 @@ __all__ = [
     "plan_capacity",
     "run_fleet_experiment",
     "ExperimentConfig",
-    "OpenLoopClient",
     "RunResult",
     "run_experiment",
     "run_face_pipeline",

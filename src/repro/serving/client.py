@@ -3,14 +3,14 @@
 The paper's methodology (Sec. 4.3) is *closed-loop*: a load balancer caps
 the number of concurrent requests per node, so the node always has
 exactly ``concurrency`` requests in flight — each completion immediately
-triggers the next submission.  :class:`ClosedLoopClient` implements that;
-:class:`OpenLoopClient` (Poisson arrivals) is provided for open-loop
-studies and the loadgen ablation.
+triggers the next submission.  :class:`ClosedLoopClient` implements that.
+:class:`WorkloadClient` is the open-loop injector: it submits at the
+arrival times a :class:`~repro.workload.Workload` source draws.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.metrics import MetricsCollector
 from ..core.server import InferenceServer
@@ -18,7 +18,10 @@ from ..kernel import ExecutionBackend, RandomStreams
 from ..vision.datasets import Dataset
 from .resilience import ResiliencePolicy
 
-__all__ = ["ClosedLoopClient", "OpenLoopClient"]
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from ..workload.source import ArrivalSource
+
+__all__ = ["ClosedLoopClient", "WorkloadClient"]
 
 
 class ClosedLoopClient:
@@ -114,42 +117,61 @@ class ClosedLoopClient:
                 yield self.env.timeout(delay)
 
 
-class OpenLoopClient:
-    """Poisson arrivals at a fixed offered rate (requests/second)."""
+class WorkloadClient:
+    """Open-loop client driven by a :class:`~repro.workload.source.ArrivalSource`.
+
+    The one open-loop client, for every arrival shape (constant,
+    diurnal, flash crowd, sessions, trace replay).  The source streams
+    lazily — a synthesized 24h day or a 100M-event trace never
+    materializes a schedule in memory — and only reports *actual*
+    arrivals, so bursty gaps cost no idle re-polls and can never emit
+    spurious requests.
+
+    Each submission is stamped with the source's phase label, which
+    flows onto the request (per-phase metrics, Perfetto span args).
+    ``on_complete`` receives every request's resolution from the
+    server's ``done`` event (served, shed, or failed after its last
+    attempt).  ``on_exhausted`` fires when a bounded source (duration
+    or trace end) runs dry, letting the experiment controller stop
+    early.
+    """
 
     def __init__(
         self,
         env: ExecutionBackend,
-        server: InferenceServer,
-        dataset: Dataset,
-        rate: float,
-        streams: RandomStreams,
+        server,  # anything with .submit(image, phase=...) -> Event
+        source: "ArrivalSource",
         on_complete: Optional[Callable] = None,
+        on_exhausted: Optional[Callable] = None,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
         self.env = env
         self.server = server
-        self.dataset = dataset
-        self.rate = rate
-        self.issued = 0
+        self.source = source
         self.on_complete = on_complete
+        self.on_exhausted = on_exhausted
+        self.issued = 0
+        self.exhausted = False
         self._stopped = False
-        self._rng = streams.stream("client:images")
-        self._arrival_rng = streams.stream("client:arrivals")
         env.process(self._generator())
 
     def stop(self) -> None:
+        """Stop issuing new requests (in-flight ones finish)."""
         self._stopped = True
 
     def _generator(self):
         while not self._stopped:
-            yield self.env.timeout(self._arrival_rng.expovariate(self.rate))
+            interval = self.source.next_interval(self.env.now)
+            if interval is None:
+                self.exhausted = True
+                if self.on_exhausted is not None:
+                    self.on_exhausted()
+                return
+            yield self.env.timeout(interval)
             if self._stopped:
                 return
-            image = self.dataset.sample(self._rng)
+            image = self.source.next_image()
             self.issued += 1
-            done = self.server.submit(image)
+            done = self.server.submit(image, phase=self.source.last_phase)
             if self.on_complete is not None:
                 self.env.process(self._watch(done))
 

@@ -16,7 +16,6 @@ loop the paper's single-node throughput numbers exist to inform.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..hardware.platform import ServerNode
 from ..kernel import Event, ExecutionBackend, RandomStreams, Store, VirtualTimeBackend
 from ..vision.datasets import Dataset, reference_dataset
+from .client import WorkloadClient
 from .resilience import CircuitBreaker, ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -135,6 +135,8 @@ class LoadBalancer:
         self.timeouts = 0
         self.retries = 0
         self.shed = 0
+        #: Deepest backlog seen right after a submit (shed or enqueued).
+        self.peak_backlog = 0
         self._rr = itertools.cycle(range(len(servers)))
         self._backlog: Store = Store(env)
         env.process(self._dispatcher())
@@ -207,17 +209,23 @@ class LoadBalancer:
         balancer carries it through retries so every attempt of one
         request lands in the same trace."""
         done = self.env.event()
+        backlog = self._backlog
         if (
             self.resilience is not None
             and self.resilience.max_backlog is not None
-            and self._backlog.size >= self.resilience.max_backlog
+            and backlog.size >= self.resilience.max_backlog
         ):
-            return self._shed(image, done, phase, trace)
-        self._backlog.put(_Job(image, done, self.env.now, phase=phase, trace=trace))
+            self._shed(image, done, phase, trace)
+        else:
+            backlog.put(_Job(image, done, self.env.now, phase=phase, trace=trace))
+        # Read after the put: an item a waiting dispatcher takes at once
+        # never counts as backlog.
+        if backlog.size > self.peak_backlog:
+            self.peak_backlog = backlog.size
         return done
 
     def _shed(self, image, done: Event, phase: Optional[str] = None,
-              trace=None) -> Event:
+              trace=None) -> None:
         """Admission control: reject without touching any node."""
         self.shed += 1
         if self.metrics is not None:
@@ -226,7 +234,6 @@ class LoadBalancer:
         request.trace = trace
         request.outcome = OUTCOME_SHED
         done.succeed(request)
-        return done
 
     # -- dispatch loop -------------------------------------------------------
 
@@ -457,8 +464,8 @@ class FleetResult:
 def run_fleet_experiment(
     server_config: ServerConfig,
     node_count: int,
-    offered_rate: Optional[float] = None,
-    dataset: Optional[Dataset] = None,
+    *,
+    workload: "Workload",
     calibration: Calibration = DEFAULT_CALIBRATION,
     gpu_count: int = 1,
     per_node_cap: int = 512,
@@ -470,74 +477,61 @@ def run_fleet_experiment(
     resilience: Optional[ResiliencePolicy] = None,
     faults: Optional["FaultPlan"] = None,
     telemetry=None,
-    *,
-    workload: Optional["Workload"] = None,
 ) -> FleetResult:
     """Open-loop load against an N-node fleet.
 
     Traffic comes from ``workload`` (a :class:`repro.workload.Workload`:
-    diurnal curves, flash crowds, sessions, trace replay, ...).  The
-    legacy ``offered_rate=``/``dataset=`` kwargs are deprecated shims
-    mapping onto ``Workload.constant(...)`` — bit-identical draws, plus
-    a ``DeprecationWarning``.
+    constant Poisson, diurnal curves, flash crowds, sessions, trace
+    replay, ...), injected by a :class:`~repro.serving.client.WorkloadClient`.
 
     ``resilience`` enables deadlines/retries/shedding/circuit-breaking
     in the balancer; ``faults`` injects the given fault plan.  Both
     default to ``None``, which reproduces the fault-free experiment
     exactly (no extra processes, no extra RNG draws).
     """
-    from ..workload import Workload
+    from .runner import _open_session
 
-    if workload is None:
-        if offered_rate is None:
-            raise ValueError("pass a workload= (or the legacy offered_rate=)")
-        warnings.warn(
-            "run_fleet_experiment(offered_rate=..., dataset=...) is deprecated; "
-            "pass workload=Workload.constant(rate, dataset=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        workload = Workload.constant(offered_rate, dataset=dataset)
-    elif offered_rate is not None or dataset is not None:
-        raise ValueError("pass either workload= or legacy offered_rate=/dataset=, not both")
     workload.validate()
-    rate_label = offered_rate if offered_rate is not None else workload.offered_rate_hint()
     env = VirtualTimeBackend()
     streams = RandomStreams(seed)
     collector = MetricsCollector()
-    from .runner import _open_session
-
     session = _open_session(telemetry, env)
 
     warmup_done = env.event()
     measure_done = env.event()
-    completed = {"n": 0}
-    state = {"stop": False, "issued": 0, "exhausted": False}
     target_total = warmup_requests + measure_requests
+    completed = 0  # server completions: the warm-up/measure protocol
+    resolved = 0  # logical requests whose done event fired
     if warmup_requests == 0:
         warmup_done.succeed()  # measurement window arms at t=0
 
-    def finish_if_exhausted():
+    def on_complete(request):
+        nonlocal completed
+        completed += 1
+        if completed == warmup_requests and not warmup_done.triggered:
+            warmup_done.succeed()
+        elif completed == target_total and not measure_done.triggered:
+            measure_done.succeed()
+        if session is not None:
+            session.observe_completion(request, env.now)
+
+    def finish_if_drained():
         # Bounded workloads (duration or trace end) may run dry before
-        # the completion targets; once every submitted request has
-        # resolved, waiting out max_sim_seconds would only pad the
-        # measurement window with dead air.
-        if not state["exhausted"] or completed["n"] < state["issued"]:
+        # the completion targets; once every issued request has resolved
+        # (served, shed, or failed after its last attempt), waiting out
+        # max_sim_seconds would only pad the measurement window with
+        # dead air.
+        if not client.exhausted or resolved < client.issued:
             return
         if not warmup_done.triggered:
             warmup_done.succeed()
         if not measure_done.triggered:
             measure_done.succeed()
 
-    def on_complete(request):
-        completed["n"] += 1
-        if completed["n"] == warmup_requests and not warmup_done.triggered:
-            warmup_done.succeed()
-        elif completed["n"] == target_total and not measure_done.triggered:
-            measure_done.succeed()
-        if session is not None:
-            session.observe_completion(request, env.now)
-        finish_if_exhausted()
+    def on_resolved(_request):
+        nonlocal resolved
+        resolved += 1
+        finish_if_drained()
 
     fleet = Fleet(
         env,
@@ -580,31 +574,15 @@ def run_fleet_experiment(
             "Instantaneous workload arrival rate (requests/second)",
             lambda: model.rate_at(env.now),
         )
-    peak_backlog = {"n": 0}
-
-    def generator():
-        while not state["stop"]:
-            interval = source.next_interval(env.now)
-            if interval is None:
-                # Workload exhausted (bounded duration or trace end).
-                state["exhausted"] = True
-                finish_if_exhausted()
-                return
-            yield env.timeout(interval)
-            if state["stop"]:
-                return
-            state["issued"] += 1
-            fleet.submit(source.next_image(), phase=source.last_phase)
-            peak_backlog["n"] = max(peak_backlog["n"], fleet.balancer.backlog_depth)
-
-    env.process(generator())
+    client = WorkloadClient(env, fleet, source, on_complete=on_resolved,
+                            on_exhausted=finish_if_drained)
 
     def controller():
         yield warmup_done | env.timeout(max_sim_seconds)
         collector.arm(env.now)
         yield measure_done | env.timeout(max_sim_seconds)
         collector.disarm(env.now)
-        state["stop"] = True
+        client.stop()
 
     env.run(until=env.process(controller()))
 
@@ -614,10 +592,10 @@ def run_fleet_experiment(
     return FleetResult(
         telemetry=session,
         node_count=node_count,
-        offered_rate=rate_label,
+        offered_rate=workload.offered_rate_hint(),
         metrics=collector.finalize(),
         dispatched_per_node=list(fleet.balancer.dispatched),
-        peak_backlog=peak_backlog["n"],
+        peak_backlog=fleet.balancer.peak_backlog,
         fault_count=injector.fault_count if injector is not None else 0,
         breaker_opens=(
             sum(b.open_transitions for b in fleet.balancer.breakers)
@@ -656,8 +634,6 @@ def plan_capacity(
         raise ValueError("p99 SLO must be positive")
     from ..workload import Workload
 
-    # Built once here so the sizing loop stays on the non-deprecated
-    # path (bit-identical to the legacy offered_rate/dataset kwargs).
     workload = Workload.constant(offered_rate, dataset=dataset)
     evaluations: Dict[int, float] = {}
     nodes = 1

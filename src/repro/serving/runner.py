@@ -20,7 +20,6 @@ runner and the identical policy stack executes against the wall clock
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
@@ -34,8 +33,7 @@ from ..kernel import ExecutionBackend, RandomStreams, VirtualTimeBackend, run_un
 from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import Dataset, reference_dataset
 from ..workload import Workload
-from .client import ClosedLoopClient
-from .loadgen import WorkloadClient
+from .client import ClosedLoopClient, WorkloadClient
 from .resilience import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -108,15 +106,6 @@ class ExperimentConfig:
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy with fields replaced."""
         return replace(self, **kwargs)
-
-    def with_(self, **kwargs) -> "ExperimentConfig":
-        """Deprecated alias of :meth:`with_overrides`."""
-        warnings.warn(
-            "ExperimentConfig.with_() is deprecated; use with_overrides()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_overrides(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -415,7 +404,6 @@ def run_face_pipeline(
     measure_requests: int = 1200,
     max_sim_seconds: float = 600.0,
     think_jitter_seconds: float = 2e-3,
-    frame_dataset: Optional[Dataset] = None,
     telemetry: Optional[TelemetryConfig] = None,
     *,
     workload: Optional[Workload] = None,
@@ -428,23 +416,11 @@ def run_face_pipeline(
     frames instead of a single-model classification deployment.
 
     Frames come from ``workload`` (its dataset component; closed-loop
-    load is set by ``concurrency``).  The legacy ``frame_dataset=``
-    kwarg is a deprecated shim for ``workload=Workload.constant(...,
-    dataset=frame_dataset)``.
+    load is set by ``concurrency``), or video frames without one.
     """
     # Imported here to avoid a circular import (apps imports serving).
     from ..apps.face_pipeline import FacePipeline
     from ..vision.datasets import VideoFrameDataset
-
-    if frame_dataset is not None:
-        warnings.warn(
-            "run_face_pipeline(frame_dataset=...) is deprecated; pass "
-            "workload=Workload.constant(rate, dataset=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if workload is not None:
-            raise ValueError("pass either workload= or frame_dataset=, not both")
 
     run = RunSession(
         seed=seed,
@@ -465,9 +441,7 @@ def run_face_pipeline(
     if run.session is not None:
         run.session.attach_pipeline(pipeline)
         run.session.start()
-    if frame_dataset is not None:
-        dataset = frame_dataset
-    elif workload is not None:
+    if workload is not None:
         dataset = workload.resolved_dataset(VideoFrameDataset())
     else:
         dataset = VideoFrameDataset()
@@ -498,7 +472,6 @@ def run_face_pipeline(
 
 def run_open_loop(
     config: ExperimentConfig,
-    offered_rate: Optional[float] = None,
     *,
     workload: Optional[Workload] = None,
     backend: Optional[ExecutionBackend] = None,
@@ -507,9 +480,7 @@ def run_open_loop(
 
     Arrival timing comes from ``workload`` (or ``config.workload``):
     constant Poisson, diurnal curves, flash crowds, per-user sessions,
-    or trace replay.  The legacy ``offered_rate=`` argument is a
-    deprecated shim mapping onto ``Workload.constant(offered_rate)`` —
-    the RNG draws are bit-identical, plus a ``DeprecationWarning``.
+    or trace replay.
 
     Under open-loop load at a rate below capacity, a *fixed-batch*
     server exhibits long batch-fill waits that dominate tail latency —
@@ -521,17 +492,7 @@ def run_open_loop(
     """
     resolved = workload if workload is not None else config.workload
     if resolved is None:
-        if offered_rate is None:
-            raise ValueError("pass a workload= (or the legacy offered_rate=)")
-        warnings.warn(
-            "run_open_loop(config, offered_rate) is deprecated; pass "
-            "workload=Workload.constant(offered_rate)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        resolved = Workload.constant(offered_rate, dataset=config.dataset)
-    elif offered_rate is not None:
-        raise ValueError("pass either workload= or the legacy offered_rate=, not both")
+        raise ValueError("an open-loop run needs workload= (or config.workload)")
     resolved.validate()
 
     run = RunSession(

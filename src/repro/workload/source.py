@@ -67,13 +67,13 @@ class ArrivalSource:
 
 
 class ConstantSource(ArrivalSource):
-    """Homogeneous Poisson arrivals, draw-for-draw identical to the
-    legacy ``OpenLoopClient``/fleet generators.
+    """Homogeneous Poisson arrivals with one draw per arrival.
 
-    This is what the ``rate=`` deprecation shims map onto: interval
-    from ``expovariate(rate)`` on ``{prefix}:arrivals``, image from
-    ``{prefix}:images`` — the exact legacy stream names and draw
-    order, so migrating to ``Workload.constant`` is bit-identical.
+    The interval is ``expovariate(rate)`` on ``{prefix}:arrivals`` and
+    the image comes from ``{prefix}:images``.  Thinning a constant rate
+    would accept every candidate but spend two draws on each, so this
+    source is the same process on half the draws, and every
+    constant-rate seed keeps its stream.
     """
 
     def __init__(

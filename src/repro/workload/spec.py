@@ -14,7 +14,7 @@ kwargs.  A workload bundles:
   (:mod:`repro.workload.sessions`), in which case arrivals are
   *session starts* and requests cluster per user;
 - **duration_seconds** — how long the traffic lasts (``None`` =
-  unbounded, the legacy behaviour);
+  unbounded: the run's completion targets stop it);
 - **trace_path** — a recorded trace to replay instead of synthesizing.
 
 Closed-loop runners (``run_experiment``, ``run_face_pipeline``) use
@@ -22,10 +22,10 @@ the dataset/popularity component — concurrency, not an arrival
 process, sets their load.  Open-loop runners (``run_open_loop``,
 ``run_fleet_experiment``) draw full arrival timing from the workload.
 
-``Workload.constant(rate)`` is the exact drop-in for the legacy
-kwargs: it resolves to a :class:`~repro.workload.source.ConstantSource`
-whose RNG draws are identical to the old inline generators, so the
-deprecation shims are bit-for-bit compatible.
+``Workload.constant(rate)`` resolves to a
+:class:`~repro.workload.source.ConstantSource`, which draws one
+exponential gap per arrival instead of thinning's two draws per
+candidate, so constant-rate seeds reproduce.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class Workload:
         duration_seconds: Optional[float] = None,
         name: Optional[str] = None,
     ) -> "Workload":
-        """Homogeneous Poisson traffic — the legacy ``rate=`` semantics."""
+        """Homogeneous Poisson traffic at ``rate`` requests/second."""
         return cls(
             name=name or f"constant-{rate:g}",
             arrivals=ConstantRate(rate),
@@ -321,9 +321,9 @@ class Workload:
         """Build the arrival source a load generator drives.
 
         A plain constant workload (no sessions, no trace) resolves to
-        :class:`~repro.workload.source.ConstantSource`, whose draws are
-        bit-identical to the legacy inline generators — that is what
-        makes the ``rate=`` deprecation shims exact.
+        :class:`~repro.workload.source.ConstantSource`: one draw per
+        arrival rather than thinning's two per candidate, so
+        constant-rate seeds reproduce.
         """
         dataset = self.resolved_dataset(default_dataset)
         if self.trace_path is not None:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps import FacePipeline, FacePipelineConfig
-from repro.core import MetricsCollector
 from repro.hardware import ServerNode
 from repro.serving import run_face_pipeline
 from repro.sim import Environment, RandomStreams
@@ -30,7 +29,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             FacePipelineConfig(faces_per_frame=-1)
 
-    def test_with_(self):
+    def test_with_overrides(self):
         config = FacePipelineConfig(broker="kafka")
         assert config.with_overrides(faces_per_frame=9).broker == "kafka"
 

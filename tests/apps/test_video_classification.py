@@ -29,7 +29,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             VideoServerConfig(max_queue_delay_seconds=-1)
 
-    def test_with_(self):
+    def test_with_overrides(self):
         config = VideoServerConfig(frames_per_clip=4)
         assert config.with_overrides(model="resnet-50").frames_per_clip == 4
 

@@ -1,6 +1,7 @@
 """Sweep-point specs: picklability and row shape."""
 
 import pickle
+from dataclasses import replace
 
 from repro.apps import FacePipelineConfig
 from repro.core.config import ServerConfig
@@ -12,6 +13,7 @@ from repro.parallel import (
     run_fleet_point,
 )
 from repro.serving.runner import ExperimentConfig
+from repro.workload import Workload
 
 
 def _small_point(**tags):
@@ -53,13 +55,17 @@ class TestPointSpecs:
         point = FleetPoint(
             server=ServerConfig(preprocess_batch_size=8),
             node_count=1,
-            offered_rate=80.0,
+            workload=Workload.constant(80.0),
             warmup_requests=20,
             measure_requests=100,
             max_sim_seconds=30.0,
             tags=(("nodes", 1),),
         )
-        assert pickle.loads(pickle.dumps(point)) == point
-        row = run_fleet_point(point)
+        restored = pickle.loads(pickle.dumps(point))
+        # Arrival models compare by identity, so the workload is checked
+        # by its recipe and every other field by value.
+        assert restored.workload.describe() == point.workload.describe()
+        assert replace(restored, workload=point.workload) == point
+        row = run_fleet_point(restored)
         assert row["nodes"] == 1
         assert row["completed"] > 0

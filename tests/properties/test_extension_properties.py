@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import DEFAULT_CALIBRATION
-from repro.serving.loadgen import BurstyArrivals, DiurnalArrivals
 from repro.sim import Environment, Gauge
 from repro.vision.video import (
     Video,
@@ -55,39 +54,6 @@ def test_video_decode_cost_invariants(video, count):
     assert uniform.decoded_frames >= uniform.sampled_frames
     assert keyed.total_seconds <= uniform.total_seconds * 1.0001
     assert keyed.amplification == 1.0
-
-
-@given(
-    base=st.floats(min_value=1, max_value=1e4, allow_nan=False, allow_infinity=False),
-    burst_mult=st.floats(min_value=1.1, max_value=50,
-                         allow_nan=False, allow_infinity=False),
-    base_s=st.floats(min_value=0.01, max_value=10, allow_nan=False,
-                     allow_infinity=False),
-    burst_s=st.floats(min_value=0.01, max_value=10, allow_nan=False,
-                      allow_infinity=False),
-    t=st.floats(min_value=0, max_value=1000, allow_nan=False, allow_infinity=False),
-)
-@settings(max_examples=80, deadline=None)
-def test_bursty_rate_is_one_of_the_two_phases(base, burst_mult, base_s, burst_s, t):
-    arrivals = BurstyArrivals(base_rate=base, burst_rate=base * burst_mult,
-                              base_seconds=base_s, burst_seconds=burst_s)
-    rate = arrivals.rate_at(t)
-    assert rate in (arrivals.base_rate, arrivals.burst_rate)
-    assert arrivals.base_rate <= arrivals.mean_rate <= arrivals.burst_rate
-
-
-@given(
-    mean=st.floats(min_value=1, max_value=1e5, allow_nan=False, allow_infinity=False),
-    swing=st.floats(min_value=0, max_value=0.99, allow_nan=False,
-                    allow_infinity=False),
-    t=st.floats(min_value=0, max_value=1e4, allow_nan=False, allow_infinity=False),
-)
-@settings(max_examples=80, deadline=None)
-def test_diurnal_rate_bounded_and_positive(mean, swing, t):
-    arrivals = DiurnalArrivals(mean, swing=swing, period_seconds=60)
-    rate = arrivals.rate_at(t)
-    assert mean * (1 - swing) - 1e-6 <= rate <= mean * (1 + swing) + 1e-6
-    assert rate > 0
 
 
 @given(levels=st.lists(

@@ -28,6 +28,7 @@ from repro.serving.runner import (
     run_face_pipeline,
     run_open_loop,
 )
+from repro.workload import Workload
 
 
 def _closed_loop_config(seed=7):
@@ -54,14 +55,15 @@ class TestRepeatability:
     def test_open_loop_different_seed_differs(self):
         """The guarantee is repeatability, not insensitivity: changing
         the seed perturbs the stochastic arrival process."""
-        first = run_open_loop(_closed_loop_config(seed=7), offered_rate=200.0)
-        second = run_open_loop(_closed_loop_config(seed=8), offered_rate=200.0)
+        workload = Workload.constant(200.0)
+        first = run_open_loop(_closed_loop_config(seed=7), workload=workload)
+        second = run_open_loop(_closed_loop_config(seed=8), workload=workload)
         assert _canonical(first.to_dict()) != _canonical(second.to_dict())
 
     def test_open_loop_same_seed_same_bytes(self):
         config = _closed_loop_config()
-        first = run_open_loop(config, offered_rate=200.0)
-        second = run_open_loop(config, offered_rate=200.0)
+        first = run_open_loop(config, workload=Workload.constant(200.0))
+        second = run_open_loop(config, workload=Workload.constant(200.0))
         assert _canonical(first.to_dict()) == _canonical(second.to_dict())
 
     def test_face_pipeline_same_seed_same_bytes(self):
@@ -79,9 +81,9 @@ class TestRepeatability:
 class TestSerialParallelIdentity:
     def test_closed_and_open_loop_points(self):
         points = [
-            ExperimentPoint(config=_closed_loop_config(seed=s), offered_rate=rate)
+            ExperimentPoint(config=_closed_loop_config(seed=s), workload=workload)
             for s in (0, 1)
-            for rate in (None, 150.0)
+            for workload in (None, Workload.constant(150.0))
         ]
         serial = run_sweep(
             run_experiment_point, points, ParallelConfig(serial=True)

@@ -6,12 +6,14 @@ from repro.core import ServerConfig
 from repro.serving import (
     LEAST_OUTSTANDING,
     ROUND_ROBIN,
+    ResiliencePolicy,
     plan_capacity,
     run_fleet_experiment,
 )
 from repro.serving.fleet import Fleet, LoadBalancer
 from repro.sim import Environment
 from repro.vision import reference_dataset
+from repro.workload import Workload
 
 SERVER = ServerConfig(model="resnet-50", preprocess_batch_size=64)
 
@@ -34,7 +36,9 @@ class TestValidation:
 
     def test_run_args(self):
         with pytest.raises(ValueError):
-            run_fleet_experiment(SERVER, node_count=1, offered_rate=0)
+            run_fleet_experiment(SERVER, node_count=1, workload=Workload.constant(0))
+        with pytest.raises(TypeError):
+            run_fleet_experiment(SERVER, node_count=1)  # workload is required
 
     def test_plan_args(self):
         with pytest.raises(ValueError):
@@ -44,11 +48,11 @@ class TestValidation:
 class TestFleetBehaviour:
     def test_two_nodes_serve_more_than_one(self):
         one = run_fleet_experiment(
-            SERVER, node_count=1, offered_rate=9000,
+            SERVER, node_count=1, workload=Workload.constant(9000),
             warmup_requests=800, measure_requests=1500,
         )
         two = run_fleet_experiment(
-            SERVER, node_count=2, offered_rate=9000,
+            SERVER, node_count=2, workload=Workload.constant(9000),
             warmup_requests=800, measure_requests=1500,
         )
         assert one.goodput_fraction < 0.85  # one node is overloaded
@@ -57,7 +61,7 @@ class TestFleetBehaviour:
 
     def test_least_outstanding_balances_evenly(self):
         result = run_fleet_experiment(
-            SERVER, node_count=3, offered_rate=6000,
+            SERVER, node_count=3, workload=Workload.constant(6000),
             warmup_requests=500, measure_requests=1500,
             policy=LEAST_OUTSTANDING,
         )
@@ -65,7 +69,7 @@ class TestFleetBehaviour:
 
     def test_round_robin_balances_evenly(self):
         result = run_fleet_experiment(
-            SERVER, node_count=3, offered_rate=6000,
+            SERVER, node_count=3, workload=Workload.constant(6000),
             warmup_requests=500, measure_requests=1500,
             policy=ROUND_ROBIN,
         )
@@ -73,18 +77,39 @@ class TestFleetBehaviour:
 
     def test_backlog_grows_under_overload(self):
         result = run_fleet_experiment(
-            SERVER, node_count=1, offered_rate=12000,
+            SERVER, node_count=1, workload=Workload.constant(12000),
             warmup_requests=500, measure_requests=1000,
             per_node_cap=256,
         )
         assert result.peak_backlog > 100
 
     def test_deterministic(self):
-        a = run_fleet_experiment(SERVER, node_count=2, offered_rate=4000,
+        a = run_fleet_experiment(SERVER, node_count=2, workload=Workload.constant(4000),
                                  warmup_requests=300, measure_requests=800)
-        b = run_fleet_experiment(SERVER, node_count=2, offered_rate=4000,
+        b = run_fleet_experiment(SERVER, node_count=2, workload=Workload.constant(4000),
                                  warmup_requests=300, measure_requests=800)
         assert a.throughput == pytest.approx(b.throughput)
+
+    def test_shed_requests_count_as_drained(self):
+        # A bounded workload that overruns a 20-deep backlog: shed
+        # requests resolve in the balancer and never reach a server, yet
+        # the run must end once every issued request has resolved, not
+        # pad its window out to max_sim_seconds.
+        def run(max_sim_seconds):
+            return run_fleet_experiment(
+                SERVER, node_count=1,
+                workload=Workload.constant(8000.0, duration_seconds=0.25),
+                resilience=ResiliencePolicy(max_backlog=20, deadline_seconds=None),
+                seed=0, warmup_requests=0, measure_requests=10**9,
+                max_sim_seconds=max_sim_seconds,
+            ).metrics
+
+        short, long = run(2.0), run(30.0)
+        assert short.window_seconds == long.window_seconds < 1.0
+        for metrics in (short, long):
+            assert metrics.shed_count > 0
+            # Without shedding the same arrivals complete 1951 requests.
+            assert metrics.completed + metrics.shed_count == 1951
 
 
 class TestCapacityPlanning:

@@ -25,11 +25,6 @@ class TestParser:
         args = build_parser().parse_args(["run", "--preprocess-device", "cpu"])
         assert args.preprocess_device == "cpu"
 
-    def test_deprecated_preprocess_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="--preprocess-device"):
-            args = build_parser().parse_args(["run", "--preprocess", "cpu"])
-        assert args.preprocess_device == "cpu"
-
     def test_faults_defaults(self):
         args = build_parser().parse_args(["faults"])
         assert args.nodes == 2

@@ -1,36 +1,9 @@
-"""The renamed APIs keep working for one release, with warnings."""
+"""Config construction contracts: keyword-only fields, re-validation."""
 
 import pytest
 
 from repro import ExperimentConfig, ServerConfig
 from repro.apps import FacePipelineConfig
-from repro.apps.video_classification import VideoServerConfig
-
-
-class TestWithUnderscoreAlias:
-    @pytest.mark.parametrize(
-        "config, override",
-        [
-            (ServerConfig(), {"max_batch_size": 32}),
-            (ExperimentConfig(), {"concurrency": 8}),
-            (FacePipelineConfig(), {"faces_per_frame": 3}),
-            (VideoServerConfig(), {"frames_per_clip": 4}),
-        ],
-        ids=["server", "experiment", "faces", "video"],
-    )
-    def test_with_warns_and_still_works(self, config, override):
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            updated = config.with_(**override)
-        (field, value), = override.items()
-        assert getattr(updated, field) == value
-        assert updated == config.with_overrides(**override)
-
-    def test_with_overrides_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ServerConfig().with_overrides(max_batch_size=32)
 
 
 class TestKeywordOnlyConfigs:

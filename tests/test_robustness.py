@@ -13,6 +13,7 @@ from repro.hardware.calibration import GpuCalibration
 from repro.serving import ExperimentConfig, run_experiment
 from repro.sim import Environment, Interrupt
 from repro.vision import MEDIUM_IMAGE, reference_dataset
+from repro.workload import Workload
 
 
 class TestMisconfiguredExperiments:
@@ -129,7 +130,7 @@ class TestOverloadBehaviour:
                 measure_requests=1000,
                 max_sim_seconds=5.0,
             ),
-            offered_rate=40_000,  # ~10x capacity
+            workload=Workload.constant(40_000),  # ~10x capacity
         )
         # Served throughput equals capacity, not the offered rate.
         assert 2000 < result.throughput < 9000

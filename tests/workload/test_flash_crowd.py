@@ -2,7 +2,7 @@
 
 The tentpole integration test: a diurnal baseline with a flash crowd
 drives an :class:`AutoscaledFleet` through a
-:class:`~repro.serving.loadgen.WorkloadClient`.  The burst must (a)
+:class:`~repro.serving.client.WorkloadClient`.  The burst must (a)
 trigger scale-out, (b) move the admission-control shed counter once the
 backlog cap is hit, and (c) spike the short-window SLO burn rate in
 :class:`SloTracker` relative to the pre-flash baseline.

@@ -1,13 +1,10 @@
-"""All four runner entry points accept one Workload; legacy kwargs shim.
+"""All four runner entry points accept one Workload.
 
-The api_redesign contract: ``run_experiment``, ``run_open_loop``,
-``run_face_pipeline``, and ``run_fleet_experiment`` all take the same
-``Workload`` object, and the legacy ``rate=``/``dataset=`` spellings
-keep working behind ``DeprecationWarning`` shims whose RNG draws are
-bit-identical to the old inline generators.
+``run_experiment``, ``run_open_loop``, ``run_face_pipeline``, and
+``run_fleet_experiment`` all take the same ``Workload`` object; it is
+the only way to give an open-loop run its load.  The outputs of the
+constant-rate runs are pinned in ``tests/serving/test_open_loop_pins.py``.
 """
-
-import warnings
 
 import pytest
 
@@ -32,26 +29,11 @@ def open_loop_config(**overrides):
 
 
 class TestOpenLoopShim:
-    def test_legacy_rate_warns(self):
-        with pytest.warns(DeprecationWarning, match="Workload.constant"):
-            run_open_loop(open_loop_config(), 800.0)
-
-    def test_legacy_rate_bit_identical_to_constant_workload(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_open_loop(open_loop_config(), 800.0)
-        modern = run_open_loop(open_loop_config(),
-                               workload=Workload.constant(800.0))
-        assert legacy.metrics == modern.metrics
-
-    def test_both_styles_rejected(self):
-        with pytest.raises(ValueError):
-            run_open_loop(open_loop_config(), 800.0,
-                          workload=Workload.constant(800.0))
-
     def test_neither_style_rejected(self):
         with pytest.raises(ValueError):
             run_open_loop(open_loop_config())
+        with pytest.raises(TypeError):
+            run_open_loop(open_loop_config(), 800.0)  # no rate argument
 
     def test_config_can_carry_the_workload(self):
         explicit = run_open_loop(open_loop_config(),
@@ -94,26 +76,11 @@ class TestFleetShim:
             SERVER, node_count=2, seed=2, warmup_requests=50,
             measure_requests=200, max_sim_seconds=30.0, **kwargs)
 
-    def test_legacy_rate_warns(self):
-        with pytest.warns(DeprecationWarning, match="Workload.constant"):
-            self.run(offered_rate=2000.0)
-
-    def test_legacy_rate_bit_identical_to_constant_workload(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = self.run(offered_rate=2000.0)
-        modern = self.run(workload=Workload.constant(2000.0))
-        assert legacy.metrics == modern.metrics
-        assert legacy.dispatched_per_node == modern.dispatched_per_node
-        assert legacy.offered_rate == modern.offered_rate
-
-    def test_both_styles_rejected(self):
-        with pytest.raises(ValueError):
-            self.run(offered_rate=2000.0, workload=Workload.constant(2000.0))
-
     def test_neither_style_rejected(self):
-        with pytest.raises(ValueError):
-            self.run()
+        with pytest.raises(TypeError):
+            self.run()  # workload is a required keyword
+        with pytest.raises(TypeError):
+            self.run(offered_rate=2000.0)
 
     def test_flash_workload_runs_and_labels_rate(self):
         workload = Workload.flash_crowd(
@@ -129,24 +96,6 @@ class TestFacePipelineShim:
         return run_face_pipeline(
             FacePipelineConfig(), concurrency=16, seed=1,
             warmup_requests=30, measure_requests=120, **kwargs)
-
-    def test_legacy_frame_dataset_warns(self):
-        with pytest.warns(DeprecationWarning, match="frame_dataset"):
-            self.run(frame_dataset=VideoFrameDataset())
-
-    def test_legacy_frame_dataset_bit_identical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = self.run(frame_dataset=VideoFrameDataset())
-        modern = self.run(
-            workload=Workload.constant(1.0, dataset=VideoFrameDataset()))
-        assert legacy.metrics == modern.metrics
-
-    def test_both_styles_rejected(self):
-        with pytest.raises(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self.run(frame_dataset=VideoFrameDataset(),
-                     workload=Workload.constant(1.0))
 
     def test_result_records_the_workload(self):
         workload = Workload.constant(1.0, dataset=VideoFrameDataset())
