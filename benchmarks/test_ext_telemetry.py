@@ -10,7 +10,7 @@ a view over state the simulation already maintains).  Three checks:
    (disabled) ``TelemetryConfig`` both reproduce the seed's
    ``RunMetrics`` exactly.
 2. **On is observer-neutral** — a fully enabled session (trace + SLO +
-   monitor) still yields bit-identical ``RunMetrics``, while the
+   scraper) still yields bit-identical ``RunMetrics``, while the
    registry's completion counter matches the collector's and the
    streaming histogram's p99 lands within one geometric bucket of the
    exact-sample p99.
@@ -34,7 +34,7 @@ FULL_TELEMETRY = TelemetryConfig(
     trace=True,
     trace_limit=4000,
     slo=SloConfig(latency_objective_seconds=0.2, target=0.99),
-    monitor_interval_seconds=0.005,
+    scrape_interval_seconds=0.005,
 )
 
 
@@ -74,6 +74,8 @@ def test_enabled_telemetry_is_observer_neutral(run_once):
     snap = session.snapshots[-1]
     completed = snap.metric("repro_requests_completed_total")["samples"][0]["value"]
     assert completed >= base.metrics.completed
+    # The scraper sampled the server's gauges.
+    assert len(session.store.get("repro_batch_queue_depth", {"gpu": "0"})) > 0
 
     # Streaming histogram p99 within one geometric bucket of the exact p99.
     histogram = session.latency
@@ -111,7 +113,7 @@ def test_trace_shows_shared_batches_and_overlap(run_once):
             ExperimentConfig(server=SERVER, telemetry=FULL_TELEMETRY, **LOAD)
         )
         session = result.telemetry
-        return session.tracer.trace_events(monitor=session.monitor)
+        return session.tracer.trace_events(gauges=session.gauges)
 
     events = run_once(sweep)
     shared = [

@@ -13,7 +13,8 @@ Run:  python examples/autoscaling_diurnal.py
 from repro.analysis import format_table, sparkline
 from repro.core import MetricsCollector, ServerConfig
 from repro.serving import AutoscaledFleet, AutoscalerPolicy, WorkloadClient
-from repro.sim import Environment, Monitor, RandomStreams
+from repro.sim import Environment, RandomStreams
+from repro.telemetry import MetricsRegistry, MetricsScraper
 from repro.vision import reference_dataset
 from repro.workload import Workload
 
@@ -42,20 +43,25 @@ def main() -> None:
                              default_dataset=reference_dataset("medium"))
     WorkloadClient(env, fleet, source)
 
-    monitor = Monitor(env, interval=1.0)
-    monitor.probe("offered_rate", lambda: workload.arrivals.rate_at(env.now))
-    monitor.probe("active_nodes", lambda: fleet.active_count)
-    monitor.probe("outstanding", lambda: fleet.total_outstanding)
-    monitor.start()
+    registry = MetricsRegistry()
+    fleet.register_metrics(registry)
+    registry.gauge_fn(
+        "repro_workload_offered_rate",
+        "Instantaneous workload arrival rate (requests/second)",
+        lambda: workload.arrivals.rate_at(env.now),
+    )
+    scraper = MetricsScraper(env, registry, interval=1.0)
+    scraper.start()
 
     env.run(until=60.0)
     collector.disarm(env.now)
     metrics = collector.finalize()
 
-    print("offered load :", sparkline(monitor.series("offered_rate").values))
-    print("active nodes :", sparkline(monitor.series("active_nodes").values,
-                                      bounds=(0, policy.max_nodes)))
-    print("outstanding  :", sparkline(monitor.series("outstanding").values))
+    store = scraper.store
+    active = store.get("repro_autoscaler_active_nodes").values
+    print("offered load :", sparkline(store.get("repro_workload_offered_rate").values))
+    print("active nodes :", sparkline(active, bounds=(0, policy.max_nodes)))
+    print("outstanding  :", sparkline(store.get("repro_autoscaler_outstanding").values))
     print()
     print(
         format_table(
@@ -66,8 +72,7 @@ def main() -> None:
                 ["mean latency", f"{metrics.latency.mean * 1e3:.0f} ms"],
                 ["p99 latency", f"{metrics.latency.p99 * 1e3:.0f} ms"],
                 ["scaling actions", str(len(fleet.events))],
-                ["mean active nodes",
-                 f"{monitor.series('active_nodes').time_average():.2f}"],
+                ["mean active nodes", f"{sum(active) / len(active):.2f}"],
             ],
             title="Autoscaled fleet over two diurnal periods",
         )

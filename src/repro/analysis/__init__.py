@@ -17,13 +17,7 @@ from .export import (
     write_json,
 )
 from .tables import format_ms, format_pct, format_rate, format_table
-from .tracing import (
-    TraceCollector,
-    requests_to_trace_events,
-    timeline_trace_events,
-    write_chrome_trace,
-    write_perfetto_trace,
-)
+from .tracing import timeline_trace_events, write_perfetto_trace
 
 __all__ = [
     "ClaimSet",
@@ -36,10 +30,7 @@ __all__ = [
     "stacked_bar_chart",
     "write_csv",
     "write_json",
-    "TraceCollector",
-    "requests_to_trace_events",
     "timeline_trace_events",
-    "write_chrome_trace",
     "write_perfetto_trace",
     "LatencyBreakdown",
     "PaperClaim",

@@ -3,7 +3,7 @@
 The benchmarks regenerate the paper's figures as data; these helpers
 make the shapes visible directly in a terminal — horizontal bars for
 figure-style comparisons, stacked bars for latency breakdowns, and
-sparklines for monitor time series.
+sparklines for scraped time series.
 """
 
 from __future__ import annotations

@@ -1,21 +1,15 @@
 """Chrome/Perfetto trace export of request timelines.
 
-Two exporters share the Trace Event Format (the JSON consumed by
-``chrome://tracing`` and https://ui.perfetto.dev):
-
-- :func:`requests_to_trace_events` — the legacy duration-ledger view:
-  one row per request, slices laid back-to-back from arrival.  Faithful
-  only for strictly sequential stages; kept for requests recorded
-  without a tracer.
-- :func:`timeline_trace_events` — the timestamped view built from
-  request *timelines* (``(name, start, end)`` intervals recorded by an
-  armed :class:`~repro.telemetry.tracer.Tracer`).  Slices sit at their
-  true simulation times, so queue/compute overlap is visible; device
-  spans are grouped onto one track per (GPU, span) with identical batch
-  intervals deduplicated into a single shared slice; flow arrows link
-  each member request to that shared slice; and an optional
-  :class:`~repro.sim.monitor.Monitor` contributes counter tracks (queue
-  depth, GPU memory, ...).
+:func:`timeline_trace_events` builds Trace Event Format JSON (the format
+``chrome://tracing`` and https://ui.perfetto.dev load) from request
+*timelines*: the ``(name, start, end)`` intervals an armed
+:class:`~repro.telemetry.tracer.Tracer` records.  Slices sit at their
+true simulation times, so queue/compute overlap is visible; device
+spans are grouped onto one track per (GPU, span) with identical batch
+intervals deduplicated into a single shared slice; flow arrows link
+each member request to that shared slice; and the scraped gauge series
+of a :class:`~repro.telemetry.scraper.MetricsScraper` become counter
+tracks (queue depth, GPU memory, ...).
 
 The per-request span order and grouping conventions match how Triton
 reports queue/compute durations, so traces read like a real serving
@@ -25,16 +19,14 @@ deployment's.
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.request import ALL_SPANS, InferenceRequest
+from ..core.request import InferenceRequest
+from ..telemetry.exposition import _labels_text
 from ..telemetry.spans import KIND_COMPUTE, KIND_TRANSFER, span_kind
+from ..telemetry.timeseries import SeriesBuffer
 
 __all__ = [
-    "TraceCollector",
-    "requests_to_trace_events",
-    "write_chrome_trace",
     "timeline_trace_events",
     "write_perfetto_trace",
 ]
@@ -46,92 +38,6 @@ _FLOW_CATEGORY = "batch"
 PID_DEVICES = 0
 PID_REQUESTS = 1
 PID_COUNTERS = 2
-
-
-def requests_to_trace_events(
-    requests: Sequence[InferenceRequest],
-    process_name: str = "repro-server",
-) -> List[dict]:
-    """Build Trace Event Format dicts (phase 'X' complete events).
-
-    Requests with a recorded timeline get slices at their true
-    timestamps; requests with only the duration ledger fall back to the
-    historical back-to-back layout from arrival.
-    """
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for request in requests:
-        if request.completion_time is None:
-            continue
-        tid = request.request_id
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": f"request {tid} ({request.image})"},
-            }
-        )
-        args = {"batch_size": request.batch_size, "gpu": request.gpu_index}
-        phase = getattr(request, "workload_phase", None)
-        if phase is not None:
-            args["phase"] = phase
-        if request.timeline:
-            for span, start, end in sorted(request.timeline, key=lambda e: e[1]):
-                events.append(
-                    {
-                        "name": span,
-                        "cat": _CATEGORY,
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": tid,
-                        "ts": start * 1e6,
-                        "dur": (end - start) * 1e6,
-                        "args": args,
-                    }
-                )
-            continue
-        cursor = request.arrival_time
-        ordered = [span for span in ALL_SPANS if span in request.spans]
-        ordered += sorted(set(request.spans) - set(ALL_SPANS))
-        for span in ordered:
-            duration = request.spans[span]
-            events.append(
-                {
-                    "name": span,
-                    "cat": _CATEGORY,
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": tid,
-                    "ts": cursor * 1e6,  # microseconds
-                    "dur": duration * 1e6,
-                    "args": args,
-                }
-            )
-            cursor += duration
-    return events
-
-
-def write_chrome_trace(
-    path: str,
-    requests: Sequence[InferenceRequest],
-    process_name: str = "repro-server",
-) -> int:
-    """Write a chrome://tracing JSON file; returns the event count."""
-    events = requests_to_trace_events(requests, process_name)
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-    return len(events)
-
-
-# -- timestamped (device-centric) export ------------------------------------
 
 
 def _device_track(span: str, gpu_index: Optional[int]) -> Optional[str]:
@@ -155,7 +61,7 @@ def _device_track(span: str, gpu_index: Optional[int]) -> Optional[str]:
 
 def timeline_trace_events(
     requests: Sequence[InferenceRequest],
-    monitor=None,
+    gauges: Sequence[SeriesBuffer] = (),
     process_name: str = "repro-server",
 ) -> List[dict]:
     """Device-centric trace events from timestamped request timelines.
@@ -163,8 +69,11 @@ def timeline_trace_events(
     Identical device intervals shared by several requests (a dynamic
     batch) collapse into one slice carrying the member request ids, and
     each member's own track is linked to it with a flow arrow — the
-    batch-grouping view of the paper's Sec. 2.1 analysis.  Requests
-    without a timeline (never armed by a tracer) are skipped.
+    batch-grouping view of the paper's Sec. 2.1 analysis.  A request's
+    id is its index in ``requests`` (the tracer's admission order), so
+    a trace depends only on its own run.  Requests without a timeline
+    (never armed by a tracer) are skipped.  Each series in ``gauges``
+    becomes one counter track, named by its series name and labels.
     """
     events: List[dict] = []
     track_tids: Dict[str, int] = {}
@@ -197,13 +106,13 @@ def timeline_trace_events(
     process_meta(PID_DEVICES, f"{process_name} devices")
     process_meta(PID_REQUESTS, f"{process_name} requests")
 
-    traced = [r for r in requests if r.timeline]
     # (track, span, start, end) -> member request ids; identical device
     # intervals are one physical occupancy shared by a batch.
     device_slices: Dict[Tuple[str, str, float, float], List[int]] = {}
 
-    for request in traced:
-        rid = request.request_id
+    for rid, request in enumerate(requests):
+        if not request.timeline:
+            continue
         events.append(
             {
                 "name": "thread_name",
@@ -279,21 +188,21 @@ def timeline_trace_events(
                 }
             )
 
-    if monitor is not None:
+    if gauges:
         process_meta(PID_COUNTERS, f"{process_name} counters")
-        for name in monitor.series_names:
-            series = monitor.series(name)
-            for time, value in zip(series.times, series.values):
-                events.append(
-                    {
-                        "name": name,
-                        "cat": "counter",
-                        "ph": "C",
-                        "pid": PID_COUNTERS,
-                        "ts": time * 1e6,
-                        "args": {"value": value},
-                    }
-                )
+    for series in gauges:
+        name = series.name + _labels_text(dict(series.labels))
+        for time, value in zip(series.times, series.values):
+            events.append(
+                {
+                    "name": name,
+                    "cat": "counter",
+                    "ph": "C",
+                    "pid": PID_COUNTERS,
+                    "ts": time * 1e6,
+                    "args": {"value": value},
+                }
+            )
 
     # Stable timestamp order (metadata events carry no ts and sort first).
     events.sort(key=lambda e: (e.get("ts", -1.0), e.get("ph") != "X"))
@@ -303,64 +212,11 @@ def timeline_trace_events(
 def write_perfetto_trace(
     path: str,
     requests: Sequence[InferenceRequest],
-    monitor=None,
+    gauges: Sequence[SeriesBuffer] = (),
     process_name: str = "repro-server",
 ) -> int:
     """Write a Perfetto-loadable timeline trace; returns the event count."""
-    events = timeline_trace_events(requests, monitor=monitor, process_name=process_name)
+    events = timeline_trace_events(requests, gauges=gauges, process_name=process_name)
     with open(path, "w") as handle:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
     return len(events)
-
-
-class TraceCollector:
-    """Optional hook collecting completed requests for trace export.
-
-    Attach as (or inside) a server's ``on_complete`` callback::
-
-        trace = TraceCollector(limit=200)
-        server = InferenceServer(..., on_complete=trace)
-        ...
-        trace.write("run.trace.json")
-
-    ``sample_every=N`` keeps every Nth completion (for long runs where a
-    representative sample suffices); requests beyond ``limit`` are
-    counted in :attr:`dropped` and reported with a warning at write time
-    rather than silently truncating the trace.
-    """
-
-    def __init__(self, limit: Optional[int] = 1000, sample_every: int = 1) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be >= 1 or None")
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.limit = limit
-        self.sample_every = sample_every
-        self.requests: List[InferenceRequest] = []
-        self.dropped = 0
-        self.sampled_out = 0
-        self._offered = 0
-
-    def __call__(self, request: InferenceRequest) -> None:
-        index = self._offered
-        self._offered += 1
-        if index % self.sample_every != 0:
-            self.sampled_out += 1
-            return
-        if self.limit is None or len(self.requests) < self.limit:
-            self.requests.append(request)
-        else:
-            self.dropped += 1
-
-    def warn_if_dropped(self) -> None:
-        """Emit a UserWarning when the limit truncated the trace."""
-        if self.dropped:
-            warnings.warn(
-                f"trace limit {self.limit} reached: {self.dropped} request(s) "
-                "dropped from the trace; raise limit or use sample_every",
-                stacklevel=2,
-            )
-
-    def write(self, path: str, process_name: str = "repro-server") -> int:
-        self.warn_if_dropped()
-        return write_chrome_trace(path, self.requests, process_name)

@@ -12,6 +12,7 @@ from typing import Dict, Optional
 
 from ..core.config import MODE_END_TO_END, ServerConfig
 from ..serving.runner import ExperimentConfig, RunResult, run_experiment
+from ..telemetry import TelemetryConfig
 from ..vision.datasets import Dataset, reference_dataset
 
 __all__ = ["serve_classification", "zero_load_breakdown", "stage_throughputs"]
@@ -27,13 +28,14 @@ def serve_classification(
     runtime: str = "tensorrt",
     seed: int = 0,
     measure_requests: int = 2000,
-    on_complete=None,
+    telemetry: Optional[TelemetryConfig] = None,
     **server_overrides,
 ) -> RunResult:
     """Run one throughput-optimized classification serving experiment.
 
-    ``on_complete`` (e.g. an :class:`~repro.analysis.TraceCollector`) is
-    invoked with every finished request.
+    ``telemetry`` records the run (e.g. span timelines for
+    :meth:`~repro.telemetry.session.TelemetrySession.write_trace`) on
+    ``RunResult.telemetry``.
     """
     server = ServerConfig(
         model=model,
@@ -50,7 +52,7 @@ def serve_classification(
         seed=seed,
         warmup_requests=max(300, concurrency // 2),
         measure_requests=max(measure_requests, 2 * concurrency),
-        on_complete=on_complete,
+        telemetry=telemetry,
     )
     return run_experiment(config)
 

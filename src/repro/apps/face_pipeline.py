@@ -206,6 +206,12 @@ class FacePipeline:
                 lambda: self._id_batcher.dispatched_batches,
                 stage="identify",
             )
+        registry.gauge_fn(
+            "repro_gpu_memory_used_bytes",
+            "GPU memory pool bytes in use",
+            lambda: self.gpu.memory.used_bytes,
+            gpu=str(self.gpu.index),
+        )
         if self.broker is not None:
             self.broker.register_metrics(registry)
 

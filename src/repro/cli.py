@@ -31,7 +31,6 @@ from .analysis.charts import bar_chart, stacked_bar_chart
 from .analysis.export import write_csv, write_json
 from .analysis.tables import format_table
 from .analysis.breakdown import breakdown_from_metrics
-from .analysis.tracing import TraceCollector
 from .apps import FacePipelineConfig, serve_classification, zero_load_breakdown
 from .core.config import ServerConfig
 from .models.zoo import MODEL_ZOO
@@ -130,7 +129,9 @@ def _str_list(text: str) -> List[str]:
 
 
 def cmd_run(args) -> int:
-    trace = TraceCollector(limit=500) if args.trace else None
+    from .telemetry import TelemetryConfig
+
+    telemetry = TelemetryConfig(enabled=True, trace_limit=500) if args.trace else None
     result = serve_classification(
         model=args.model,
         preprocess_device=args.preprocess_device,
@@ -139,7 +140,7 @@ def cmd_run(args) -> int:
         gpu_count=args.gpus,
         runtime=args.runtime,
         seed=args.seed,
-        on_complete=trace,
+        telemetry=telemetry,
     )
     row = {"model": args.model, "preprocess_device": args.preprocess_device,
            "image": args.size, **result.to_dict()}
@@ -157,10 +158,10 @@ def cmd_run(args) -> int:
             title=f"{args.model} | {args.preprocess_device} preprocessing | {args.size} image",
         )
     )
-    if args.trace and trace is not None:
-        count = trace.write(args.trace)
+    if args.trace:
+        count = result.telemetry.write_trace(args.trace)
         print(f"wrote {count} trace events to {args.trace} "
-              "(open in chrome://tracing or Perfetto)")
+              "(open in https://ui.perfetto.dev)")
     _export(args, [row])
     return 0
 
@@ -668,13 +669,18 @@ def cmd_faults(args) -> int:
 def cmd_telemetry(args) -> int:
     from .telemetry import SloConfig, TelemetryConfig
 
+    interval = 0.005  # cadence of the gauges behind the counter tracks
     telemetry = TelemetryConfig(
         enabled=True,
         trace=True,
         trace_limit=args.trace_limit,
         trace_sample_every=args.sample_every,
         slo=SloConfig(latency_objective_seconds=args.slo_ms / 1e3, target=args.target),
-        monitor_interval_seconds=args.monitor_interval_ms / 1e3,
+        scrape_interval_seconds=interval,
+        # The ring holds every tick of the longest run the runners allow
+        # (their 600 s max_sim_seconds) plus the closing scrape, so no
+        # counter track loses its start.
+        history_points=int(600.0 / interval) + 2,
     )
     if args.scenario == "faces":
         result = run_face_pipeline(
@@ -1098,7 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--runtime", default="tensorrt",
                          choices=["tensorrt", "onnxruntime", "pytorch"])
     run_cmd.add_argument("--seed", type=int, default=0)
-    run_cmd.add_argument("--trace", help="write a chrome://tracing JSON of request timelines")
+    run_cmd.add_argument("--trace", help="write a Perfetto timeline trace JSON")
     _add_export_flags(run_cmd)
     run_cmd.set_defaults(func=cmd_run)
 
@@ -1253,8 +1259,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max requests kept in the trace")
     telemetry.add_argument("--sample-every", type=int, default=1,
                            help="trace every Nth request")
-    telemetry.add_argument("--monitor-interval-ms", type=float, default=5.0,
-                           help="queue-depth/memory sampling period (ms)")
     telemetry.add_argument("--metrics", help="write Prometheus text metrics to FILE")
     telemetry.add_argument("--metrics-json", help="write JSON metrics to FILE")
     _add_export_flags(telemetry)

@@ -19,10 +19,10 @@ can depend on ``repro.kernel`` alone.
 
 from ..sim.containers import Container
 from ..sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from ..sim.process import Initialize, Interrupt, Process
+from ..sim.process import Initialize, Process
 from ..sim.resources import PriorityResource, Request, Resource
 from ..sim.rng import RandomStreams
-from ..sim.stores import FilterStore, PriorityItem, PriorityStore, Store
+from ..sim.stores import Store
 from .base import ExecutionBackend, is_realtime, run_until
 from .realtime import AsyncioBackend
 from .virtual import EmptySchedule, StopSimulation, VirtualTimeBackend
@@ -42,12 +42,8 @@ __all__ = [
     "ConditionValue",
     "Container",
     "Event",
-    "FilterStore",
     "Initialize",
-    "Interrupt",
-    "PriorityItem",
     "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "Request",

@@ -173,8 +173,7 @@ class WorkloadClient:
             self.issued += 1
             done = self.server.submit(image, phase=self.source.last_phase)
             if self.on_complete is not None:
-                self.env.process(self._watch(done))
+                done.callbacks.append(self._resolved)
 
-    def _watch(self, done):
-        request = yield done
-        self.on_complete(request)
+    def _resolved(self, done) -> None:
+        self.on_complete(done.value)

@@ -71,8 +71,7 @@ class ExperimentConfig:
     #: Client think-time jitter; breaks arrival synchronization so tail
     #: latencies are meaningful (real clients are never lock-stepped).
     think_jitter_seconds: float = 0.0
-    #: Optional callback invoked with every completed request (e.g. a
-    #: :class:`~repro.analysis.tracing.TraceCollector`).
+    #: Optional callback invoked with every completed request.
     on_complete: Optional[Callable] = None
     #: Client-side deadlines/retries; ``None`` leaves the submit path
     #: untouched (fault-free runs are bit-identical).
@@ -439,7 +438,7 @@ def run_face_pipeline(
         metrics=run.collector, on_complete=on_complete,
     )
     if run.session is not None:
-        run.session.attach_pipeline(pipeline)
+        run.session.attach_server(pipeline)
         run.session.start()
     if workload is not None:
         dataset = workload.resolved_dataset(VideoFrameDataset())

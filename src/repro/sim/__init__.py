@@ -10,18 +10,17 @@ Public surface::
     env.run()        # or env.run(until=10.0) / env.run(until=p)
 
 Synchronization primitives: :class:`Resource`, :class:`PriorityResource`,
-:class:`Container`, :class:`Store`, :class:`FilterStore`,
-:class:`PriorityStore`.  Reproducible randomness: :class:`RandomStreams`.
+:class:`Container`, :class:`Store`.  Reproducible randomness:
+:class:`RandomStreams`.
 """
 
 from .containers import Container
 from .engine import EmptySchedule, Environment
-from .monitor import Counter, Gauge, Monitor, Series
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .process import Initialize, Interrupt, Process
+from .process import Initialize, Process
 from .resources import PriorityResource, Request, Resource
 from .rng import RandomStreams
-from .stores import FilterStore, PriorityItem, PriorityStore, Store
+from .stores import Store
 
 __all__ = [
     "AllOf",
@@ -29,19 +28,11 @@ __all__ = [
     "Condition",
     "ConditionValue",
     "Container",
-    "Counter",
-    "Gauge",
-    "Monitor",
-    "Series",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Initialize",
-    "Interrupt",
-    "PriorityItem",
     "PriorityResource",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "Request",

@@ -8,26 +8,14 @@ other (``yield env.process(...)``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from .events import PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Process", "Interrupt", "Initialize"]
-
-
-class Interrupt(Exception):
-    """Raised into a process when another process interrupts it."""
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"Interrupt({self.cause!r})"
+__all__ = ["Process", "Initialize"]
 
 
 class Initialize(Event):
@@ -43,29 +31,6 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class _InterruptEvent(Event):
-    """Internal urgent event that delivers an :class:`Interrupt`."""
-
-    __slots__ = ()
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks = [process._resume]
-        # Detach the process from whatever it was waiting on so the stale
-        # event does not resume it a second time when it eventually fires.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._target = None
-        process.env.schedule(self, priority=URGENT)
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -73,16 +38,14 @@ class Process(Event):
     with its return value, or failed with the uncaught exception.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event the process is currently waiting for (None if just
-        #: started, terminated, or currently being resumed).
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     def __repr__(self) -> str:
         return f"<Process({self.name}) object at {id(self):#x}>"
@@ -93,37 +56,15 @@ class Process(Event):
         return getattr(self._generator, "__name__", str(self._generator))
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting on."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """``True`` until the wrapped generator has terminated."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` exception into the process.
-
-        The interrupt is delivered at the current simulation time with
-        urgent priority.  Interrupting a terminated process is an error;
-        a process cannot interrupt itself.
-        """
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        _InterruptEvent(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the state of ``event``."""
         env = self.env
         env._active_proc = self
         generator = self._generator
-
-        # Detach from the event we were waiting on so a stale interrupt does
-        # not try to unregister from it.
-        self._target = None
 
         while True:
             try:
@@ -161,7 +102,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Event already processed: resume immediately with its state.

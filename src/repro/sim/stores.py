@@ -3,33 +3,27 @@
 These model message queues throughout the serving simulator: the dynamic
 batcher's pending queue, broker topics, inter-stage channels.  A
 :class:`Store` optionally has bounded capacity (puts block when full).
-:class:`FilterStore` lets getters select items with a predicate, and
-:class:`PriorityStore` pops the smallest item first.
 
 Implementation notes (hot path):
 
 - ``items`` and the waiter lists are :class:`collections.deque`, so the
   FIFO pop is O(1) instead of the O(n) ``list.pop(0)`` — queue depths
   reach thousands under the paper's high-concurrency sweeps.
-  :class:`PriorityStore` is the exception: its ``items`` stay a plain
-  list because :mod:`heapq` requires one.
 - The put/get event classes carry ``__slots__``; they are allocated once
   per message hop and never grow ad-hoc attributes.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = ["Store", "FilterStore", "PriorityStore", "PriorityItem", "StorePut", "StoreGet"]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 
 class StorePut(Event):
@@ -53,12 +47,11 @@ class StorePut(Event):
 class StoreGet(Event):
     """Succeeds with the retrieved item."""
 
-    __slots__ = ("store", "filter_fn", "requested_at", "_abandoned")
+    __slots__ = ("store", "requested_at", "_abandoned")
 
-    def __init__(self, store: "Store", filter_fn: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         self.store = store
-        self.filter_fn = filter_fn
         self.requested_at = store.env.now
         self._abandoned = False
         store._get_waiters.append(self)
@@ -101,7 +94,7 @@ class Store:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.env = env
         self._capacity = capacity
-        self.items = self._new_items()
+        self.items: Deque[Any] = deque()
         self._put_waiters: Deque[StorePut] = deque()
         self._get_waiters: Deque[StoreGet] = deque()
         # Peak occupancy, for memory/backlog diagnostics.
@@ -109,10 +102,6 @@ class Store:
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__}(items={len(self.items)})>"
-
-    def _new_items(self):
-        """Container for ``items``; deque for FIFO stores."""
-        return deque()
 
     @property
     def capacity(self) -> float:
@@ -196,98 +185,3 @@ class Store:
                 progressed = True
             if self._get_waiters and self._serve_getters():
                 progressed = True
-
-
-class FilterStore(Store):
-    """Store whose getters may select items with a predicate."""
-
-    def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        return StoreGet(self, filter_fn)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if event.filter_fn is None:
-            return super()._do_get(event)
-        for i, item in enumerate(self.items):
-            if event.filter_fn(item):
-                del self.items[i]
-                event.succeed(item)
-                return True
-        return False
-
-    def _serve_getters(self) -> bool:
-        # A later getter may be satisfiable even when the first is still
-        # blocked on its predicate, so scan every waiter (in FIFO order).
-        served = False
-        waiters = self._get_waiters
-        for _ in range(len(waiters)):
-            getter = waiters.popleft()
-            if self._do_get(getter):
-                served = True
-            else:
-                waiters.append(getter)
-        return served
-
-
-class PriorityItem:
-    """Orderable wrapper pairing a sortable priority with an arbitrary item.
-
-    Equal priorities are tie-broken by a monotonic insertion sequence, so
-    a :class:`PriorityStore` of ``PriorityItem``\\ s pops equal-priority
-    items in FIFO order.  Without the tie-break, comparison falls through
-    to heap order — i.e. whatever arrangement :mod:`heapq`'s sift left
-    the list in — which varies with the interleaving of unrelated
-    puts/gets and silently reorders same-priority work.
-    """
-
-    __slots__ = ("priority", "item", "_seq")
-
-    _counter = itertools.count()
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-        self._seq = next(PriorityItem._counter)
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        if self.priority < other.priority:
-            return True
-        if other.priority < self.priority:
-            return False
-        return self._seq < other._seq
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store that always pops the smallest item.
-
-    With :class:`PriorityItem` items, ties pop FIFO (insertion order);
-    raw items tie-break however their own comparison orders them.
-    """
-
-    def _new_items(self):
-        # heapq needs indexable storage; keep a plain list.
-        return []
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            heapq.heappush(self.items, event.item)
-            if len(self.items) > self._peak:
-                self._peak = len(self.items)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(heapq.heappop(self.items))
-            return True
-        return False
-
-    def _return_item(self, item: Any) -> None:
-        # "Front of the queue" for a heap is simply its ordered position.
-        heapq.heappush(self.items, item)
-        if len(self.items) > self._peak:
-            self._peak = len(self.items)
-        self._trigger()

@@ -2,8 +2,8 @@
 
 Telemetry is **off by default** and strictly observational: enabling it
 must never change simulation results (no extra RNG draws, no event-loop
-interaction beyond the optional monitor sampler, no mutation of any
-component state).  The benchmark suite asserts both properties —
+interaction beyond the optional scraper's cadence wake-ups, no mutation
+of any component state).  The benchmark suite asserts both properties —
 off-path runs are bit-identical to pre-telemetry builds, and enabled
 runs produce bit-identical ``RunMetrics``.
 """
@@ -32,14 +32,13 @@ class TelemetryConfig:
         trace_sample_every: Trace every Nth submitted request (1 = all).
             Use for long runs where a representative sample suffices.
         slo: Latency objective to score completions against, or None.
-        monitor_interval_seconds: Sampling interval for counter tracks
-            (queue depth, GPU memory) exported alongside the trace, or
-            None to skip the sampler entirely.
         scrape_interval_seconds: Cadence of the
             :class:`~repro.telemetry.scraper.MetricsScraper` sampling
             every registry instrument into the ring-buffered
             time-series store (virtual seconds under the DES, wall
             seconds under a realtime backend), or None for no scraper.
+            The scraped gauge series (queue depths, GPU memory, ...)
+            become the trace's counter tracks.
         history_points: Ring capacity per time series (oldest evicted).
         alerts: Threshold :class:`~repro.telemetry.timeseries.AlertRule`
             rules the scraper evaluates each tick.
@@ -50,7 +49,6 @@ class TelemetryConfig:
     trace_limit: int = 2000
     trace_sample_every: int = 1
     slo: Optional[SloConfig] = None
-    monitor_interval_seconds: Optional[float] = None
     scrape_interval_seconds: Optional[float] = None
     history_points: int = 720
     alerts: Tuple[AlertRule, ...] = field(default_factory=tuple)
@@ -61,11 +59,6 @@ class TelemetryConfig:
         if self.trace_sample_every < 1:
             raise ValueError(
                 f"trace_sample_every must be >= 1, got {self.trace_sample_every}"
-            )
-        if self.monitor_interval_seconds is not None and self.monitor_interval_seconds <= 0:
-            raise ValueError(
-                "monitor_interval_seconds must be positive, got "
-                f"{self.monitor_interval_seconds}"
             )
         if self.scrape_interval_seconds is not None and self.scrape_interval_seconds <= 0:
             raise ValueError(

@@ -33,11 +33,12 @@ children are only ever added, so the plan is rebuilt only when
 readings of existing children; a new child starts from zero, so its
 first window is its full value.
 
-Like the :class:`~repro.sim.monitor.Monitor` it is modelled on, the
-scraper is strictly observational: sampling draws no randomness and
-mutates no component state; its only event-loop interaction is the
+The scraper is strictly observational: sampling draws no randomness
+and mutates no component state; its only event-loop interaction is the
 zero-duration cadence wake-up, so enabled runs keep ``RunMetrics``
-bit-identical (asserted by the observer-neutrality tests).
+bit-identical (asserted by the observer-neutrality tests).  Its gauge
+series are also the counter tracks of the Perfetto timeline
+(:attr:`~repro.telemetry.session.TelemetrySession.gauges`).
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ class MetricsScraper:
         self._dropped: Optional[SeriesBuffer] = None
         self._prev_time = 0.0
         self._running = False
-        # Same epoch guard as sim.monitor.Monitor: a sampler process
-        # exits once its captured epoch goes stale, so stop() -> start()
-        # never double-samples.
+        # Incremented on every start(): a sampler process exits once its
+        # captured epoch goes stale, so stop() -> start() never
+        # double-samples.
         self._epoch = 0
 
     # -- lifecycle ------------------------------------------------------------

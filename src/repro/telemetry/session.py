@@ -1,4 +1,4 @@
-"""One run's telemetry: registry + tracer + SLO tracker + monitor.
+"""One run's telemetry: registry + tracer + SLO tracker + scraper.
 
 A :class:`TelemetrySession` is created by the experiment runners when
 ``TelemetryConfig.enabled`` is set, attached to the serving components
@@ -10,9 +10,10 @@ counters at collection time, the tracer only appends to request-local
 lists, and the SLO tracker consumes completion events the runner already
 receives — so an enabled session leaves ``RunMetrics`` bit-identical to
 a telemetry-free run (asserted by the benchmark suite).  The one
-deliberate exception is the optional :class:`~repro.sim.monitor.Monitor`
-sampler, which schedules zero-duration wake-ups; sampling draws no
-randomness and mutates no component state, so results are unchanged.
+deliberate exception is the optional
+:class:`~repro.telemetry.scraper.MetricsScraper`, which schedules its
+cadence wake-ups; sampling draws no randomness and mutates no component
+state, so results are unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import List, Optional
 from .config import TelemetryConfig
 from .registry import MetricsRegistry, RegistrySnapshot
 from .slo import SloReport, SloTracker
+from .timeseries import SeriesBuffer
 from .tracer import Tracer
 
 __all__ = ["TelemetrySession"]
@@ -45,11 +47,6 @@ class TelemetrySession:
         if config.slo is not None:
             self.slo = SloTracker(config.slo)
             self.slo.register_metrics(self.registry)
-        self.monitor = None
-        if env is not None and config.monitor_interval_seconds is not None:
-            from ..sim.monitor import Monitor
-
-            self.monitor = Monitor(env, interval=config.monitor_interval_seconds)
         self.scraper = None
         if env is not None and config.scrape_interval_seconds is not None:
             from .scraper import MetricsScraper
@@ -82,45 +79,14 @@ class TelemetrySession:
     # -- wiring ---------------------------------------------------------------
 
     def attach_server(self, server) -> None:
-        """Wire an :class:`~repro.core.server.InferenceServer` (or any
-        component with ``tracer``/``register_metrics``)."""
+        """Wire an :class:`~repro.core.server.InferenceServer`, a
+        :class:`~repro.apps.face_pipeline.FacePipeline`, or any component
+        with ``tracer``/``register_metrics``."""
         server.tracer = self.tracer
         server.register_metrics(self.registry)
-        if self.monitor is not None:
-            self._probe_server(server)
-
-    def attach_pipeline(self, pipeline) -> None:
-        """Wire a :class:`~repro.apps.face_pipeline.FacePipeline`."""
-        pipeline.tracer = self.tracer
-        pipeline.register_metrics(self.registry)
-        if self.monitor is not None:
-            self.monitor.probe(
-                "detect queue depth", lambda: pipeline._det_batcher.queue.size
-            )
-            if not pipeline.fused:
-                self.monitor.probe(
-                    "identify queue depth", lambda: pipeline._id_batcher.queue.size
-                )
-                self.monitor.probe("broker depth", lambda: pipeline.broker.depth)
-            self.monitor.probe(
-                "gpu0 memory used bytes", lambda: pipeline.gpu.memory.used_bytes
-            )
-
-    def _probe_server(self, server) -> None:
-        for index, batcher in enumerate(server._batchers):
-            self.monitor.probe(
-                f"gpu{index} queue depth", lambda b=batcher: b.queue.size
-            )
-        for gpu in server.node.gpus:
-            self.monitor.probe(
-                f"gpu{gpu.index} memory used bytes",
-                lambda g=gpu: g.memory.used_bytes,
-            )
 
     def start(self) -> None:
-        """Begin monitor + scraper sampling (no-op without either)."""
-        if self.monitor is not None:
-            self.monitor.start()
+        """Begin scraper sampling (no-op without a scraper)."""
         if self.scraper is not None:
             self.scraper.start()
 
@@ -153,8 +119,6 @@ class TelemetrySession:
 
     def finalize(self, now: Optional[float] = None) -> "TelemetrySession":
         """End-of-run housekeeping: stop sampling, surface trace drops."""
-        if self.monitor is not None:
-            self.monitor.stop()
         if self.scraper is not None:
             self.scraper.stop()
             # One closing sample so the store's tail reflects the final
@@ -188,6 +152,20 @@ class TelemetrySession:
         """The scraper's time-series store, or ``None`` with no scraper."""
         return self.scraper.store if self.scraper is not None else None
 
+    @property
+    def gauges(self) -> List[SeriesBuffer]:
+        """The scraped series of every registry gauge child, in registry
+        order (the trace's counter tracks); empty with no scraper."""
+        if self.scraper is None:
+            return []
+        store = self.scraper.store
+        return [
+            buffer
+            for name in self.registry.names
+            if self.registry.family(name).kind == "gauge"
+            for buffer in store.select(name)
+        ]
+
     def history_dict(self, since: Optional[float] = None) -> Optional[dict]:
         """The time-series history payload (``/metrics/history``)."""
         if self.scraper is None:
@@ -205,4 +183,6 @@ class TelemetrySession:
         """Export the Perfetto timeline trace; returns the event count."""
         if self.tracer is None:
             raise RuntimeError("tracing is disabled in this TelemetryConfig")
-        return self.tracer.write_chrome_trace(path, monitor=self.monitor)
+        from ..analysis.tracing import write_perfetto_trace
+
+        return write_perfetto_trace(path, self.tracer.requests, gauges=self.gauges)

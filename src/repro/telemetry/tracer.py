@@ -18,7 +18,9 @@ and a metric at the end of a run, never silently).
 from __future__ import annotations
 
 import warnings
-from typing import List
+from typing import List, Sequence
+
+from .timeseries import SeriesBuffer
 
 __all__ = ["Tracer"]
 
@@ -86,23 +88,19 @@ class Tracer:
             for request in self.requests
         ]
 
-    def trace_events(self, monitor=None) -> List[dict]:
+    def trace_events(self, gauges: Sequence[SeriesBuffer] = ()) -> List[dict]:
         """Chrome/Perfetto trace events for the collected timelines.
 
-        Device-centric tracks with batch flow arrows; ``monitor`` adds
-        counter tracks from its sampled series.
+        Device-centric tracks with batch flow arrows; each scraped gauge
+        series in ``gauges`` (:attr:`TelemetrySession.gauges
+        <repro.telemetry.session.TelemetrySession.gauges>`) adds one
+        counter track.
         """
         # Imported lazily: analysis.tracing imports telemetry.spans, so a
         # module-level import here would be order-sensitive.
         from ..analysis.tracing import timeline_trace_events
 
-        return timeline_trace_events(self.requests, monitor=monitor)
-
-    def write_chrome_trace(self, path, monitor=None) -> int:
-        """Write a Perfetto-loadable trace file; returns event count."""
-        from ..analysis.tracing import write_perfetto_trace
-
-        return write_perfetto_trace(path, self.requests, monitor=monitor)
+        return timeline_trace_events(self.requests, gauges=gauges)
 
     def warn_if_dropped(self) -> None:
         """Emit a UserWarning when the limit truncated the trace."""

@@ -82,6 +82,17 @@ class ArrivalModel:
     def __add__(self, other: "ArrivalModel") -> "Superpose":
         return Superpose((self, other))
 
+    # Models are values: two envelopes built from the same arguments are
+    # equal (and hash alike), so configs holding them compare by value
+    # and survive a pickle round trip as equal.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(sorted(vars(self).items()))))
+
 
 class ConstantRate(ArrivalModel):
     """Homogeneous Poisson arrivals at a fixed rate."""
@@ -231,6 +242,17 @@ class Region:
         self.name = name
         self.weight = float(weight)
         self.offset_seconds = float(offset_seconds)
+
+    def _key(self) -> Tuple[str, float, float]:
+        return (self.name, self.weight, self.offset_seconds)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class RegionalMix(ArrivalModel):

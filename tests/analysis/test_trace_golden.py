@@ -22,21 +22,28 @@ from repro.serving.runner import run_face_pipeline
 #: 2288 -> 2281 when the dynamic batcher's queue-delay deadline was
 #: re-anchored to the oldest item's enqueue time (Triton semantics):
 #: stalled batches now dispatch earlier, forming slightly fewer slices.
-GOLDEN_EVENT_COUNT = 2281
+#: 2281 -> 2285 when the counter tracks moved to the scraper's gauges:
+#: each of the 4 tracks gains the closing scrape (66 points, was 65);
+#: the 2019 non-counter events are unchanged.
+GOLDEN_EVENT_COUNT = 2285
 
 
-@pytest.fixture(scope="module")
-def trace_events():
-    result = run_face_pipeline(
+def _faces_run(telemetry):
+    return run_face_pipeline(
         FacePipelineConfig(),
         concurrency=16,
         warmup_requests=10,
         measure_requests=80,
         seed=3,
-        telemetry=TelemetryConfig(enabled=True, monitor_interval_seconds=0.01),
+        telemetry=telemetry,
     )
+
+
+@pytest.fixture(scope="module")
+def trace_events():
+    result = _faces_run(TelemetryConfig(enabled=True, scrape_interval_seconds=0.01))
     session = result.telemetry
-    return session.tracer.trace_events(monitor=session.monitor)
+    return session.tracer.trace_events(gauges=session.gauges)
 
 
 class TestGoldenTrace:
@@ -101,17 +108,20 @@ class TestGoldenTrace:
         counters = [e for e in trace_events if e["ph"] == "C"]
         assert counters
         names = {e["name"] for e in counters}
-        assert "detect queue depth" in names
+        assert 'repro_stage_queue_depth{stage="detect"}' in names
+
+    def test_identical_runs_export_identical_events(self):
+        # Request ids come from the tracer's admission order, not from a
+        # process-wide counter, so a second run in the same process
+        # exports the same trace.
+        first, second = (
+            _faces_run(TelemetryConfig(enabled=True)).telemetry.tracer.trace_events()
+            for _ in range(2)
+        )
+        assert first == second
 
     def test_written_file_is_perfetto_loadable_json(self, tmp_path):
-        result = run_face_pipeline(
-            FacePipelineConfig(),
-            concurrency=16,
-            warmup_requests=10,
-            measure_requests=80,
-            seed=3,
-            telemetry=TelemetryConfig(enabled=True),
-        )
+        result = _faces_run(TelemetryConfig(enabled=True))
         path = tmp_path / "faces.trace.json"
         count = result.telemetry.write_trace(str(path))
         payload = json.loads(path.read_text())
@@ -120,3 +130,4 @@ class TestGoldenTrace:
         assert len(payload["traceEvents"]) == count
         kinds = {e["ph"] for e in payload["traceEvents"]}
         assert {"M", "X", "s", "f"} <= kinds
+        assert "C" not in kinds  # no scraper, no counter tracks

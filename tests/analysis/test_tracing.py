@@ -1,80 +1,45 @@
-"""Tests for Chrome-trace export of request timelines."""
+"""Unit tests for the timeline trace exporter."""
 
-import json
-
-import pytest
-
-from repro.analysis import TraceCollector, requests_to_trace_events, write_chrome_trace
-from repro.core import InferenceServer, ServerConfig
+from repro.analysis.tracing import PID_COUNTERS, PID_REQUESTS, timeline_trace_events
 from repro.core.request import InferenceRequest
-from repro.hardware import ServerNode
-from repro.sim import Environment
+from repro.telemetry.timeseries import TimeSeriesStore
 from repro.vision import MEDIUM_IMAGE
 
 
-def make_completed_request():
-    request = InferenceRequest(MEDIUM_IMAGE, arrival_time=1.0)
-    request.add("preprocess", 0.002)
-    request.add("inference", 0.003)
-    request.batch_size = 8
-    request.complete(1.006)
+def _traced_request(timeline):
+    request = InferenceRequest(MEDIUM_IMAGE, arrival_time=0.0)
+    request.timeline = timeline
     return request
 
 
-class TestTraceEvents:
-    def test_event_structure(self):
-        events = requests_to_trace_events([make_completed_request()])
-        slices = [e for e in events if e.get("ph") == "X"]
-        assert len(slices) == 2
-        pre, inf = slices
-        assert pre["name"] == "preprocess"
-        assert pre["ts"] == pytest.approx(1.0e6)
-        assert pre["dur"] == pytest.approx(2000)
-        # Slices are laid out back to back.
-        assert inf["ts"] == pytest.approx(pre["ts"] + pre["dur"])
-        assert inf["args"]["batch_size"] == 8
-
-    def test_incomplete_requests_skipped(self):
-        incomplete = InferenceRequest(MEDIUM_IMAGE, arrival_time=0.0)
-        events = requests_to_trace_events([incomplete])
-        assert all(e.get("ph") != "X" for e in events)
-
-    def test_non_canonical_spans_included(self):
-        request = InferenceRequest(MEDIUM_IMAGE, arrival_time=0.0)
-        request.add("broker", 0.01)
-        request.complete(0.01)
-        events = requests_to_trace_events([request])
-        assert any(e.get("name") == "broker" for e in events)
-
-    def test_write_file(self, tmp_path):
-        path = tmp_path / "run.trace.json"
-        count = write_chrome_trace(str(path), [make_completed_request()])
-        payload = json.loads(path.read_text())
-        assert len(payload["traceEvents"]) == count
-        assert payload["displayTimeUnit"] == "ms"
+def test_requests_are_numbered_by_admission_order():
+    first = _traced_request([("queue", 0.0, 1.0)])
+    untimed = _traced_request([])  # admitted, but recorded no span
+    last = _traced_request([("queue", 0.5, 2.0)])
+    # Admitted in the reverse of their creation order.
+    events = timeline_trace_events([last, untimed, first])
+    rows = {
+        e["tid"]: e["ts"]
+        for e in events if e["ph"] == "X" and e["pid"] == PID_REQUESTS
+    }
+    assert rows == {0: 0.5e6, 2: 0.0}
 
 
-class TestTraceCollector:
-    def test_limit_and_dropped(self):
-        collector = TraceCollector(limit=2)
-        for _ in range(5):
-            collector(make_completed_request())
-        assert len(collector.requests) == 2
-        assert collector.dropped == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceCollector(limit=0)
-
-    def test_end_to_end_with_server(self, tmp_path):
-        env = Environment()
-        node = ServerNode(env)
-        collector = TraceCollector(limit=10)
-        server = InferenceServer(env, node, ServerConfig(), on_complete=collector)
-        env.run(until=server.submit(MEDIUM_IMAGE))
-        path = tmp_path / "server.trace.json"
-        count = collector.write(str(path))
-        assert count > 3
-        payload = json.loads(path.read_text())
-        names = {e.get("name") for e in payload["traceEvents"]}
-        assert "inference" in names and "preprocess" in names
+def test_each_gauge_series_is_one_counter_track():
+    store = TimeSeriesStore()
+    store.record("depth", 0.0, 3.0, {"gpu": "0"})
+    store.record("depth", 0.01, 5.0, {"gpu": "0"})
+    store.record("level", 0.0, 1.0)
+    gauges = [store.get("depth", {"gpu": "0"}), store.get("level")]
+    events = timeline_trace_events([], gauges=gauges)
+    counters = [
+        (e["pid"], e["name"], e["ts"], e["args"]["value"])
+        for e in events if e["ph"] == "C"
+    ]
+    assert counters == [
+        (PID_COUNTERS, 'depth{gpu="0"}', 0.0, 3.0),
+        (PID_COUNTERS, "level", 0.0, 1.0),
+        (PID_COUNTERS, 'depth{gpu="0"}', 10000.0, 5.0),
+    ]
+    # No gauges, no counter process.
+    assert all(e["pid"] != PID_COUNTERS for e in timeline_trace_events([]))

@@ -18,7 +18,6 @@ import pytest
 from repro.kernel import (
     AsyncioBackend,
     Event,
-    Interrupt,
     Store,
     VirtualTimeBackend,
     is_realtime,
@@ -106,25 +105,6 @@ class TestFastForwardSemantics:
         env.process(proc())
         with pytest.raises(RuntimeError, match="boom"):
             go(env)
-
-    def test_interrupt_semantics_survive_the_backend(self):
-        env = AsyncioBackend(fast_forward=True)
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        def attacker(proc):
-            yield env.timeout(2.0)
-            proc.interrupt("move it")
-
-        proc = env.process(victim())
-        env.process(attacker(proc))
-        go(env)
-        assert log == [(2.0, "move it")]
 
     def test_store_get_cancel_race_requeues_under_run_async(self):
         """The PR-5 ``get | timeout`` race, driven by the asyncio loop."""

@@ -1,7 +1,6 @@
 """Sweep-point specs: picklability and row shape."""
 
 import pickle
-from dataclasses import replace
 
 from repro.apps import FacePipelineConfig
 from repro.core.config import ServerConfig
@@ -62,10 +61,7 @@ class TestPointSpecs:
             tags=(("nodes", 1),),
         )
         restored = pickle.loads(pickle.dumps(point))
-        # Arrival models compare by identity, so the workload is checked
-        # by its recipe and every other field by value.
-        assert restored.workload.describe() == point.workload.describe()
-        assert replace(restored, workload=point.workload) == point
+        assert restored == point
         row = run_fleet_point(restored)
         assert row["nodes"] == 1
         assert row["completed"] > 0

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import DEFAULT_CALIBRATION
-from repro.sim import Environment, Gauge
 from repro.vision.video import (
     Video,
     keyframe_sample_indices,
@@ -54,29 +53,3 @@ def test_video_decode_cost_invariants(video, count):
     assert uniform.decoded_frames >= uniform.sampled_frames
     assert keyed.total_seconds <= uniform.total_seconds * 1.0001
     assert keyed.amplification == 1.0
-
-
-@given(levels=st.lists(
-    st.tuples(
-        st.floats(min_value=0.01, max_value=10, allow_nan=False,
-                  allow_infinity=False),  # hold duration
-        st.floats(min_value=-100, max_value=100, allow_nan=False,
-                  allow_infinity=False),  # new level
-    ),
-    min_size=1, max_size=30,
-))
-@settings(max_examples=60, deadline=None)
-def test_gauge_time_average_bounded_by_extremes(levels):
-    env = Environment()
-    gauge = Gauge(env, initial=0.0)
-
-    def proc():
-        for hold, value in levels:
-            yield env.timeout(hold)
-            gauge.set(value)
-        yield env.timeout(0.5)
-
-    env.run(until=env.process(proc()))
-    seen = [0.0] + [value for _, value in levels]
-    avg = gauge.time_average()
-    assert min(seen) - 1e-9 <= avg <= max(seen) + 1e-9

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, PriorityItem, PriorityStore, Resource, Store
+from repro.sim import Container, Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e4,
@@ -122,22 +122,3 @@ def test_store_is_fifo_and_lossless(items):
     env.process(consumer())
     env.run()
     assert received == items
-
-
-@given(priorities=st.lists(st.integers(min_value=-100, max_value=100),
-                           min_size=1, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_priority_store_pops_sorted(priorities):
-    env = Environment()
-    store = PriorityStore(env)
-    popped = []
-
-    def proc():
-        for i, p in enumerate(priorities):
-            yield store.put(PriorityItem(p, i))
-        for _ in priorities:
-            item = yield store.get()
-            popped.append(item.priority)
-
-    env.run(until=env.process(proc()))
-    assert popped == sorted(priorities)

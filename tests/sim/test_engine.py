@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, EmptySchedule, Interrupt
+from repro.sim import Environment, EmptySchedule
 
 
 def test_initial_time_is_zero():
@@ -360,84 +360,6 @@ class TestConditions:
             assert len(cond) == 2
 
         env.run(until=env.process(proc(env)))
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        caught = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                caught.append((env.now, exc.cause))
-
-        def attacker(env, victim_proc):
-            yield env.timeout(3)
-            victim_proc.interrupt("stop now")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert caught == [(3, "stop now")]
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        trace = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                trace.append("interrupted")
-            yield env.timeout(1)
-            trace.append(f"done at {env.now:g}")
-
-        def attacker(env, victim_proc):
-            yield env.timeout(2)
-            victim_proc.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert trace == ["interrupted", "done at 3"]
-
-    def test_interrupt_terminated_process_rejected(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self):
-        env = Environment()
-
-        def proc(env):
-            with pytest.raises(RuntimeError):
-                env.active_process.interrupt()
-            yield env.timeout(0)
-
-        env.run(until=env.process(proc(env)))
-
-    def test_uncaught_interrupt_fails_process(self):
-        env = Environment()
-
-        def victim(env):
-            yield env.timeout(100)
-
-        def attacker(env, victim_proc):
-            yield env.timeout(1)
-            victim_proc.interrupt("die")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        with pytest.raises(Interrupt):
-            env.run()
 
 
 class TestScheduleAt:

@@ -33,7 +33,7 @@ def test_no_repro_event_subclass_has_an_instance_dict():
     _import_all_repro_modules()
     events = {cls for cls in _subclasses(Event)
               if cls.__module__.startswith("repro.")}
-    assert len(events) >= 14  # the walk found the kernel's events
+    assert len(events) >= 13  # the walk found the kernel's events
     offenders = sorted(f"{cls.__module__}.{cls.__qualname__}"
                        for cls in events | {Event} if _has_instance_dict(cls))
     assert offenders == []

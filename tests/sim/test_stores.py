@@ -1,15 +1,8 @@
-"""Unit tests for Store / FilterStore / PriorityStore and RandomStreams."""
+"""Unit tests for Store and RandomStreams."""
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    RandomStreams,
-    Store,
-)
+from repro.sim import Environment, RandomStreams, Store
 
 
 class TestStore:
@@ -216,38 +209,6 @@ class TestGetCancelRequeue:
         env.run()
         assert got == ["x"] or list(store.items) == ["x"]
 
-    def test_filter_store_cancel_requeues(self):
-        env = Environment()
-        store = FilterStore(env)
-
-        def proc(env):
-            yield store.put(1)
-            yield store.put(2)
-            get = store.get(lambda x: x == 2)
-            yield env.timeout(0)
-            get.cancel()
-
-        env.run(until=env.process(proc(env)))
-        assert sorted(store.items) == [1, 2]
-
-    def test_priority_store_cancel_requeues_in_order(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def proc(env):
-            yield store.put(PriorityItem(2, "b"))
-            yield store.put(PriorityItem(1, "a"))
-            get = store.get()  # pops the smallest: "a"
-            yield env.timeout(0)
-            get.cancel()  # must heap-push it back, not appendleft
-            for _ in range(2):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.run(until=env.process(proc(env)))
-        assert got == ["a", "b"]
-
     def test_cancel_untriggered_get_leaves_no_waiter(self):
         env = Environment()
         store = Store(env)
@@ -261,132 +222,6 @@ class TestGetCancelRequeue:
         env.run(until=env.process(proc(env)))
         assert list(store.items) == ["x"]
         assert store.waiting_getters == 0
-
-
-class TestFilterStore:
-    def test_filter_selects_matching_item(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def proc(env):
-            yield store.put(1)
-            yield store.put(2)
-            yield store.put(3)
-            item = yield store.get(lambda x: x % 2 == 0)
-            got.append(item)
-
-        env.run(until=env.process(proc(env)))
-        assert got == [2]
-        assert list(store.items) == [1, 3]
-
-    def test_filter_blocks_until_match_arrives(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get(lambda x: x == "wanted")
-            got.append((item, env.now))
-
-        def producer(env):
-            yield store.put("other")
-            yield env.timeout(4)
-            yield store.put("wanted")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [("wanted", 4)]
-
-    def test_blocked_filter_getter_does_not_block_others(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def picky(env):
-            item = yield store.get(lambda x: x == "never")
-            got.append(item)
-
-        def easy(env):
-            yield env.timeout(1)
-            item = yield store.get(lambda x: True)
-            got.append(item)
-
-        def producer(env):
-            yield env.timeout(2)
-            yield store.put("anything")
-
-        env.process(picky(env))
-        env.process(easy(env))
-        env.process(producer(env))
-        env.run(until=10)
-        assert got == ["anything"]
-
-
-class TestPriorityStore:
-    def test_pops_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def proc(env):
-            yield store.put(PriorityItem(3, "c"))
-            yield store.put(PriorityItem(1, "a"))
-            yield store.put(PriorityItem(2, "b"))
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.run(until=env.process(proc(env)))
-        assert got == ["a", "b", "c"]
-
-    def test_equal_priority_pops_in_insertion_order(self):
-        """FIFO within a priority class.  PriorityItem.__lt__ used to
-        compare *only* the priority, so equal-priority items tied and
-        their pop order depended on heap internals (i.e. on the full
-        insertion history).  The insertion-sequence tie-break makes
-        equal-priority ordering FIFO by construction."""
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def proc(env):
-            for tag in "abcde":
-                yield store.put(PriorityItem(1, tag))
-            for _ in range(5):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.run(until=env.process(proc(env)))
-        assert got == list("abcde")
-
-    def test_mixed_priorities_fifo_within_class(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def proc(env):
-            # Interleave two priority classes.
-            for priority, tag in [(2, "x1"), (1, "a1"), (2, "x2"), (1, "a2"), (2, "x3")]:
-                yield store.put(PriorityItem(priority, tag))
-            for _ in range(5):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.run(until=env.process(proc(env)))
-        assert got == ["a1", "a2", "x1", "x2", "x3"]
-
-    def test_priority_item_ordering_is_total(self):
-        a = PriorityItem(1, "first")
-        b = PriorityItem(1, "second")
-        c = PriorityItem(0, "urgent")
-        assert c < a and c < b  # priority dominates
-        assert a < b  # equal priority: insertion order breaks the tie
-        assert not (b < a)
-        # Payloads never participate, so unorderable items are fine.
-        d = PriorityItem(1, object())
-        assert b < d
 
 
 class TestRandomStreams:

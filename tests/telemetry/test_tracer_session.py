@@ -94,7 +94,7 @@ class TestTelemetrySession:
         with pytest.raises(ValueError):
             TelemetryConfig(trace_sample_every=0).validate()
         with pytest.raises(ValueError):
-            TelemetryConfig(monitor_interval_seconds=0.0).validate()
+            TelemetryConfig(scrape_interval_seconds=0.0).validate()
 
     def test_observe_completion_feeds_latency_and_slo(self):
         session = TelemetrySession(
@@ -137,7 +137,7 @@ class TestRunnerIntegration:
                 telemetry=TelemetryConfig(
                     enabled=True,
                     slo=SloConfig(),
-                    monitor_interval_seconds=0.005,
+                    scrape_interval_seconds=0.005,
                 ),
             )
         )
@@ -147,8 +147,8 @@ class TestRunnerIntegration:
         assert len(session.tracer.requests) > 0
         assert session.slo.total > 0
         assert session.finalized_at is not None
-        # Monitor sampled the server probes.
-        assert len(session.monitor.series("gpu0 queue depth")) > 0
+        # The scraper sampled the server's gauges.
+        assert len(session.store.get("repro_batch_queue_depth", {"gpu": "0"})) > 0
         # The registry exposes server counters that match RunMetrics.
         snap = session.snapshots[-1]
         completed = snap.metric("repro_requests_completed_total")

@@ -59,6 +59,24 @@ class TestCommands:
         assert "throughput" in out
         assert "img/s" in out
 
+    def test_run_trace_writes_perfetto_timeline(self, tmp_path, capsys):
+        from repro.analysis.tracing import PID_DEVICES
+
+        path = tmp_path / "run.trace.json"
+        # 500 of the run's 2300 requests are traced; the rest are
+        # reported as drops rather than silently truncated.
+        with pytest.warns(UserWarning, match="trace limit 500 reached"):
+            assert main([
+                "run", "--model", "tinyvit-5m", "--concurrency", "64",
+                "--trace", str(path),
+            ]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert {"M", "X", "s", "f"} <= {e["ph"] for e in events}
+        assert any(
+            e["ph"] == "X" and e["pid"] == PID_DEVICES and "inference" in e["name"]
+            for e in events
+        )
+
     def test_run_csv_export(self, tmp_path, capsys):
         path = tmp_path / "run.csv"
         assert main([
@@ -155,6 +173,29 @@ class TestTelemetryCommand:
         text = prom.read_text()
         assert "# TYPE repro_request_latency_seconds histogram" in text
         assert json.loads(metrics_json.read_text())["metrics"]
+
+    def test_faces_trace_has_a_counter_track_per_gauge(self, tmp_path, capsys):
+        path = tmp_path / "faces.trace.json"
+        # The default faces run scrapes more ticks than the 720-point
+        # default ring holds; the objective is loose enough to be met.
+        assert main([
+            "telemetry", "--scenario", "faces", "--slo-ms", "10000",
+            "--trace", str(path),
+        ]) == 0
+        points = {}
+        for event in json.loads(path.read_text())["traceEvents"]:
+            if event["ph"] == "C":
+                points.setdefault(event["name"], []).append(event["ts"])
+        assert min(len(stamps) for stamps in points.values()) > 720
+        # One track per registry gauge child, none missing its start.
+        assert {name: stamps[0] for name, stamps in points.items()} == {
+            'repro_stage_queue_depth{stage="detect"}': 0.0,
+            'repro_stage_queue_depth{stage="identify"}': 0.0,
+            'repro_gpu_memory_used_bytes{gpu="0"}': 0.0,
+            'repro_broker_depth{broker="redis"}': 0.0,
+            "repro_slo_compliance_ratio": 0.0,
+            "repro_slo_error_budget_consumed_ratio": 0.0,
+        }
 
     def test_telemetry_exit_code_reflects_missed_slo(self, capsys):
         code = main([

@@ -11,7 +11,7 @@ from repro.core import InferenceServer, MetricsCollector, ServerConfig
 from repro.hardware import DEFAULT_CALIBRATION, OutOfMemoryError, ServerNode
 from repro.hardware.calibration import GpuCalibration
 from repro.serving import ExperimentConfig, run_experiment
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.vision import MEDIUM_IMAGE, reference_dataset
 from repro.workload import Workload
 
@@ -64,29 +64,25 @@ class TestMemoryExhaustion:
 
 class TestInterruptedClients:
     def test_interrupting_a_waiting_client_does_not_corrupt_server(self):
-        """Killing a client mid-request leaves the server consistent:
-        the in-flight request still completes and is recorded."""
+        """A client that stops waiting mid-request leaves the server
+        consistent: the in-flight request still completes and is
+        recorded."""
         env = Environment()
         node = ServerNode(env)
         collector = MetricsCollector()
         collector.arm(0.0)
         server = InferenceServer(env, node, ServerConfig(), metrics=collector)
+        gave_up = []
 
         def client():
-            try:
-                yield server.submit(MEDIUM_IMAGE)
-            except Interrupt:
-                pass
+            done = server.submit(MEDIUM_IMAGE)
+            yield done | env.timeout(0.001)
             # The client gave up; the server-side work is unaffected.
+            gave_up.append(not done.triggered)
 
-        proc = env.process(client())
-
-        def killer():
-            yield env.timeout(0.001)
-            proc.interrupt("client disconnected")
-
-        env.process(killer())
+        env.process(client())
         env.run(until=1.0)
+        assert gave_up == [True]
         assert collector.sample_count == 1  # request finished anyway
 
     def test_stopped_client_mid_burst(self):
