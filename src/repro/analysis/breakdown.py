@@ -21,6 +21,7 @@ from ..core.request import (
     SPAN_QUEUE,
     SPAN_TRANSFER,
 )
+from ..sim.sums import float_sum
 
 __all__ = ["LatencyBreakdown", "breakdown_from_metrics", "cache_summary", "resilience_summary"]
 
@@ -64,7 +65,7 @@ class LatencyBreakdown:
 def breakdown_from_metrics(metrics: RunMetrics) -> LatencyBreakdown:
     """Group a run's mean spans into the paper's categories."""
     total = metrics.latency.mean
-    preprocess = sum(metrics.span_mean(span) for span in PREPROCESS_SPANS)
+    preprocess = float_sum(metrics.span_mean(span) for span in PREPROCESS_SPANS)
     inference = metrics.span_mean(SPAN_INFERENCE)
     queue = metrics.span_mean(SPAN_QUEUE)
     transfer = metrics.span_mean(SPAN_TRANSFER)

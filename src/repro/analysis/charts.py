@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from ..sim.sums import float_sum
+
 __all__ = ["bar_chart", "stacked_bar_chart", "sparkline"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -62,7 +64,7 @@ def stacked_bar_chart(
     glyphs: Dict[str, str] = {
         name: _STACK_GLYPHS[i] for i, name in enumerate(segment_names)
     }
-    peak = max(sum(segments.values()) for segments in rows.values())
+    peak = max(float_sum(segments.values()) for segments in rows.values())
     if peak <= 0:
         peak = 1.0
     label_width = max(len(label) for label in rows)
@@ -78,7 +80,7 @@ def stacked_bar_chart(
             value = segments.get(name, 0.0)
             cells = round(width * value / peak)
             bar += glyphs[name] * cells
-        total = sum(segments.values())
+        total = float_sum(segments.values())
         lines.append(f"{label.ljust(label_width)}  {bar} {total:,.4g}")
     return "\n".join(lines)
 

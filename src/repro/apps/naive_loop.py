@@ -23,6 +23,7 @@ from ..models.dnn import inference_latency
 from ..models.runtimes import get_runtime
 from ..models.zoo import get_model
 from ..kernel import ExecutionBackend, RandomStreams, VirtualTimeBackend
+from ..sim.sums import float_sum
 from ..vision.datasets import Dataset
 from ..vision.ops import cpu_preprocess_cost, gpu_preprocess_cost
 
@@ -111,7 +112,7 @@ def run_naive_loop(
                     cpu_preprocess_cost(image, model.input_size, calibration)
                     for image in images
                 ]
-                total_core_seconds = sum(
+                total_core_seconds = float_sum(
                     c.decode_seconds + c.resize_seconds + c.normalize_seconds
                     for c in per_image
                 )
@@ -133,7 +134,7 @@ def run_naive_loop(
                 yield env.all_of(staging_jobs)
                 compressed = sum(image.compressed_bytes for image in images)
                 yield from gpu.link.transfer(compressed, H2D, pinned=True)
-                kernel = calibration.gpu.preprocess_launch_seconds + sum(
+                kernel = calibration.gpu.preprocess_launch_seconds + float_sum(
                     c.kernel_seconds for c in costs
                 )
                 yield from gpu.execute(kernel)

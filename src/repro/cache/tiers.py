@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..sim.sums import float_sum
 from .config import CacheConfig
 from .policies import EvictionPolicy, make_policy
 
@@ -395,7 +396,7 @@ class CacheHierarchy:
                 merged = merged.merge(cache.stats)
             out.update(merged.as_dict("cache_tensor_"))
             out["cache_tensor_resident_bytes"] = float(
-                sum(cache.tier.used_bytes for cache in self.tensor)
+                float_sum(cache.tier.used_bytes for cache in self.tensor)
             )
         if self.result is not None:
             out.update(self.result.stats.as_dict("cache_result_"))
@@ -419,7 +420,7 @@ class CacheHierarchy:
             tiers.append(("image", lambda: self.image.used_bytes))
         if self.tensor:
             tiers.append(
-                ("tensor", lambda: sum(c.tier.used_bytes for c in self.tensor))
+                ("tensor", lambda: float_sum(c.tier.used_bytes for c in self.tensor))
             )
         if self.result is not None:
             tiers.append(("result", lambda: self.result.used_bytes))

@@ -9,7 +9,6 @@
     python -m repro cache --skews 0.0,1.0 --cache-mb 0,64,256 --tiers image,tensor
     python -m repro faces --brokers fused,redis,kafka --faces 1,9,25
     python -m repro faults --downtimes 0.01,0.05 --rate 150
-    python -m repro bench --out BENCH_parallel.json
     python -m repro models
     python -m repro plan --rate 8000 --slo-ms 150
 
@@ -842,119 +841,6 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _print_cluster_bench(data: Dict) -> bool:
-    scaling = data["scaling"]
-    rows = [
-        ["topology", f"{scaling['cells']} cells x {scaling['nodes_per_cell']} "
-                     f"nodes ({scaling['node_count']} total)"],
-        ["requests", f"{scaling['requests']:,}"],
-        ["serial wall", f"{scaling['serial_wall_seconds']:.2f} s"],
-    ]
-    identical = True
-    for run in scaling["runs"]:
-        identical = identical and run["bit_identical"]
-        rows.append([
-            f"{run['shards']} shard(s)",
-            f"wall {run['wall_seconds']:.2f} s, "
-            f"efficiency {run['parallel_efficiency']:.0%}, "
-            f"identical {run['bit_identical']}",
-        ])
-    day = data.get("day")
-    if day is not None:
-        rows.append(["10k-node day",
-                     f"{day['issued']:,} requests / 24 h simulated in "
-                     f"{day['wall_seconds']:.2f} s "
-                     f"({day['cells_touched']} of {day['cells']} cells hot)"])
-    print(format_table(
-        ["probe", "value"], rows,
-        title=f"cluster bench — {'smoke' if data['smoke'] else 'full'} mode, "
-              f"{data['host']['cpu_count']} CPU(s)",
-    ))
-    return identical
-
-
-def _compare_baseline(args, fresh_path: str) -> int:
-    """Bench-history gate: fail when a throughput figure regresses."""
-    from .analysis.bench_history import compare_bench_files
-
-    try:
-        comparisons = compare_bench_files(
-            fresh_path, args.baseline, tolerance=args.tolerance)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(format_table(
-        ["figure", "baseline", "fresh", "change", "verdict"],
-        [comparison.row() for comparison in comparisons],
-        title=f"bench history vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})",
-    ))
-    regressed = [c for c in comparisons if c.regressed]
-    if regressed:
-        for comparison in regressed:
-            print(f"regression: {comparison.figure} fell "
-                  f"{-comparison.change:.1%} below baseline", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .parallel.bench import run_bench, write_bench
-
-    if args.baseline and not args.out:
-        print("error: --baseline requires --out (the fresh results file)",
-              file=sys.stderr)
-        return 2
-    if args.cluster:
-        from .cluster.bench import run_cluster_bench
-
-        data = run_cluster_bench(smoke=args.smoke)
-        identical = _print_cluster_bench(data)
-        if args.out:
-            write_bench(args.out, data)
-            print(f"wrote {args.out}")
-        if args.baseline:
-            gate = _compare_baseline(args, args.out)
-            if gate:
-                return gate
-        return 0 if identical else 1
-
-    data = run_bench(smoke=args.smoke, workers=args.workers or None)
-    engine = data["engine"]
-    sweep = data["sweep"]
-    rows = [
-        ["timeout events/s", f"{engine['timeout_events_per_sec']:,.0f}"],
-        ["store ops/s", f"{engine['store_ops_per_sec']:,.0f}"],
-        ["store drain/s", f"{engine['store_drain_per_sec']:,.0f}"],
-        ["sweep points", str(sweep["points"])],
-        ["serial wall", f"{sweep['serial_wall_seconds']:.2f} s"],
-        ["parallel wall", f"{sweep['parallel_wall_seconds']:.2f} s "
-                          f"({sweep['parallel_workers']} worker(s))"],
-        ["speedup", f"{sweep['speedup']:.2f}x"],
-        ["persistent warm wall", f"{sweep['persistent_wall_seconds']:.2f} s "
-                                 f"(chunk={sweep['persistent_chunk_size']})"],
-        ["bit-identical", str(sweep["bit_identical"])],
-        ["persistent bit-identical", str(sweep["persistent_bit_identical"])],
-    ]
-    print(
-        format_table(
-            ["probe", "value"],
-            rows,
-            title=f"simulator bench — {'smoke' if args.smoke else 'full'} mode, "
-                  f"{data['host']['cpu_count']} CPU(s)",
-        )
-    )
-    if args.out:
-        write_bench(args.out, data)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        gate = _compare_baseline(args, args.out)
-        if gate:
-            return gate
-    identical = sweep["bit_identical"] and sweep["persistent_bit_identical"]
-    return 0 if identical else 1
-
-
 def cmd_plan(args) -> int:
     plan = plan_capacity(
         ServerConfig(model=args.model, preprocess_device=args.preprocess_device,
@@ -1263,26 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--metrics-json", help="write JSON metrics to FILE")
     _add_export_flags(telemetry)
     telemetry.set_defaults(func=cmd_telemetry)
-
-    bench = sub.add_parser(
-        "bench",
-        help="simulator performance harness (events/sec + parallel sweep)",
-    )
-    bench.add_argument("--out", help="write results JSON (e.g. BENCH_parallel.json)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="shrunk probes for CI (~10x smaller)")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="pool size for the sweep probe (0 = one per CPU core)")
-    bench.add_argument("--cluster", action="store_true",
-                       help="run the cluster shard-scaling harness instead "
-                            "(writes BENCH_cluster.json shape)")
-    bench.add_argument("--baseline", metavar="FILE",
-                       help="bench-history gate: compare the fresh --out "
-                            "results against this committed baseline and "
-                            "exit 1 on a throughput regression")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed relative throughput drop vs --baseline")
-    bench.set_defaults(func=cmd_bench)
 
     cluster = sub.add_parser(
         "cluster",

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..sim.sums import float_sum
 from .request import ALL_SPANS, OUTCOME_OK, InferenceRequest
 
 __all__ = ["LatencyStats", "MetricsCollector", "RunMetrics", "percentile"]
@@ -60,7 +61,7 @@ class LatencyStats:
         ordered = sorted(values)
         return cls(
             count=len(ordered),
-            mean=sum(ordered) / len(ordered),
+            mean=float_sum(ordered) / len(ordered),
             p50=percentile(ordered, 50),
             p90=percentile(ordered, 90),
             p99=percentile(ordered, 99),
@@ -296,7 +297,7 @@ class MetricsCollector:
 
         span_means: Dict[str, float] = {}
         for span in ALL_SPANS:
-            total = sum(r.spans.get(span, 0.0) for r in self._requests)
+            total = float_sum(r.spans.get(span, 0.0) for r in self._requests)
             span_means[span] = total / sample_count
         # Any non-canonical spans (e.g. broker) are preserved too.
         extra_spans = {
@@ -306,7 +307,7 @@ class MetricsCollector:
             if span not in ALL_SPANS
         }
         for span in sorted(extra_spans):
-            total = sum(r.spans.get(span, 0.0) for r in self._requests)
+            total = float_sum(r.spans.get(span, 0.0) for r in self._requests)
             span_means[span] = total / sample_count
 
         mean_latency = stats.mean

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.sums import float_sum
 from ..vision.image import Image
 
 __all__ = [
@@ -190,7 +191,7 @@ class InferenceRequest:
     @property
     def accounted_seconds(self) -> float:
         """Sum of all recorded spans."""
-        return sum(self.spans.values())
+        return float_sum(self.spans.values())
 
     def span_fraction(self, span: str) -> float:
         """Fraction of end-to-end latency spent in ``span``."""

@@ -33,6 +33,7 @@ from ..models.dnn import inference_latency
 from ..models.runtimes import RuntimeSpec, get_runtime
 from ..models.zoo import ModelSpec, get_model
 from ..kernel import Event, ExecutionBackend, Resource
+from ..sim.sums import float_sum
 from ..vision.image import Image
 from ..vision.ops import cpu_preprocess_cost, gpu_preprocess_cost
 from .batcher import DynamicBatcher
@@ -630,7 +631,7 @@ class InferenceServer:
             # reload is a synchronous copy that blocks the stream — the
             # paper's "subsequent reload ... incurs additional latency".
             self.eviction_reloads += len(evicted) + len(stale)
-            nbytes = sum(self._resident_bytes(e.request.image) for e in evicted)
+            nbytes = float_sum(self._resident_bytes(e.request.image) for e in evicted)
             nbytes += len(stale) * self.tensor_bytes
             start = self.env.now
             with gpu.compute.request(priority=PRIORITY_INFERENCE) as grant:

@@ -11,7 +11,7 @@ boundary, not the event loop.
 
 ``VirtualTimeBackend`` is an alias, not a wrapper: aliasing guarantees
 there is exactly one DES dispatch loop in the codebase and that the
-hot path (see ``BENCH_parallel.json``) pays nothing for the protocol.
+hot path (timed by ``perf/run.py``) pays nothing for the protocol.
 """
 
 from __future__ import annotations

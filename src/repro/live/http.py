@@ -158,20 +158,29 @@ class LiveHttpServer:
         return 200, payload
 
     async def _infer(self, reader: asyncio.StreamReader, headers: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
+        digits = headers.get("content-length", "0") or "0"
+        if not (digits.isascii() and digits.isdigit()):
+            return 400, {"error": "Content-Length must be a decimal byte count"}
+        # Compare lengths first: int() refuses strings of over 4300 digits.
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
             return 413, {"error": "body too large"}
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(int(digits))
+        except asyncio.IncompleteReadError:
+            return 400, {"error": "body shorter than Content-Length"}
         if body:
             try:
                 spec = json.loads(body)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # bad JSON or UTF-8; nesting too deep
                 return 400, {"error": "body must be JSON"}
             if not isinstance(spec, dict):
                 return 400, {"error": "body must be a JSON object"}
         else:
             spec = {}
         size = spec.get("size", "medium")
+        if not isinstance(size, str):
+            return 400, {"error": "size must be a string"}
         key = spec.get("key")
         if key is not None and not isinstance(key, int):
             return 400, {"error": "key must be an integer"}

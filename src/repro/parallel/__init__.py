@@ -17,8 +17,7 @@ Public surface::
 
 Every point is an independent simulation (own Environment, own RNG
 family), so serial and parallel execution produce bit-identical
-results; :mod:`repro.parallel.bench` measures events/sec and sweep
-wall-clock for the performance trajectory in ``BENCH_parallel.json``.
+results.
 """
 
 from .executor import (

@@ -19,24 +19,25 @@ Design rules that keep the guarantee cheap to uphold:
 - Seeds for generated sweeps come from :func:`derive_seed`, which hashes
   ``(base_seed, key)``; the derivation is position-independent, so
   reordering or slicing a sweep never changes any point's result.
-- Workers start from a ``spawn`` context by default: a fresh interpreter
-  that imports only what the task needs, which keeps heavyweight
-  optional dependencies (matplotlib & co) out of the workers and makes
-  the execution environment identical no matter which process a point
-  lands on.  ``fork`` is available opt-in for lower start-up latency.
+- Workers start from a ``spawn`` context: a fresh interpreter that
+  imports only what the task needs, which keeps heavyweight optional
+  dependencies (matplotlib & co) out of the workers and makes the
+  execution environment identical no matter which process a point
+  lands on.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
+import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from ..sim.sums import float_sum
 
 __all__ = [
     "HEAVY_MODULES",
@@ -46,7 +47,6 @@ __all__ = [
     "SweepReport",
     "derive_seed",
     "run_sweep",
-    "shutdown_persistent_pools",
 ]
 
 #: Optional dependencies that must never be imported inside a pool
@@ -85,33 +85,13 @@ class ParallelConfig:
     workers: Optional[int] = None
     #: Force in-process serial execution (no pool at all).
     serial: bool = False
-    #: Multiprocessing start method: ``"spawn"`` (default, clean worker
-    #: imports) or ``"fork"`` (faster start-up on POSIX).
-    mp_context: str = "spawn"
     #: Re-run the sweep serially afterwards and assert the values are
     #: identical (the bit-identity guarantee, paid for twice the work).
     verify: bool = False
-    #: Reuse one long-lived pool per ``(mp_context, workers)`` across
-    #: sweeps instead of spawning fresh interpreters every call.  A
-    #: spawn worker costs ~100ms of interpreter+import start-up; with
-    #: many small sweeps (parameter searches, the bench harness) that
-    #: start-up dominates the 0.66 parallel-efficiency figure.  Pools
-    #: live until :func:`shutdown_persistent_pools` or process exit.
-    persistent: bool = False
-    #: Points submitted per pool task.  ``None``/1 submits one point per
-    #: task (maximal load-balancing); larger chunks amortize per-point
-    #: pickle + result-transport overhead when points are small and
-    #: numerous.  Results are bit-identical regardless of chunking —
-    #: every point stays a pure function of its spec.
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.mp_context not in ("spawn", "fork", "forkserver"):
-            raise ValueError(f"unknown mp_context {self.mp_context!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def resolved_workers(self, point_count: int) -> int:
         """Actual pool size for a sweep of ``point_count`` points."""
@@ -144,7 +124,6 @@ class SweepReport:
     mode: str
     #: True when a verify pass re-ran the sweep serially and matched.
     verified: bool = False
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def values(self) -> List[Any]:
@@ -154,7 +133,7 @@ class SweepReport:
     @property
     def busy_seconds(self) -> float:
         """Total in-worker compute time across all points."""
-        return sum(r.seconds for r in self.results)
+        return float_sum(r.seconds for r in self.results)
 
     @property
     def parallel_efficiency(self) -> float:
@@ -182,7 +161,6 @@ class SweepReport:
             "parallel_efficiency": self.parallel_efficiency,
             "verified": self.verified,
             "point_seconds": [r.seconds for r in self.results],
-            **self.extras,
         }
 
 
@@ -214,69 +192,6 @@ def _pool_point(task: Callable[[Any], Any], index: int, point: Any) -> PointResu
     return result
 
 
-class _ChunkPointError(Exception):
-    """Worker-side failure inside a chunk; names the failing point.
-
-    Carries only the index and a rendered cause so it pickles across the
-    pool boundary regardless of what the task raised.
-    """
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(index, message)
-        self.index = index
-        self.message = message
-
-
-def _pool_chunk(
-    task: Callable[[Any], Any], chunk: List[Tuple[int, Any]]
-) -> List[PointResult]:
-    """Worker-side entry for a batch of points (one pickle round-trip)."""
-    results: List[PointResult] = []
-    for index, point in chunk:
-        try:
-            results.append(_run_point(task, index, point))
-        except Exception as exc:
-            raise _ChunkPointError(index, repr(exc)) from exc
-    _check_import_hygiene()
-    return results
-
-
-#: Long-lived pools reused across sweeps, keyed by (mp_context, workers).
-_PERSISTENT_POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
-
-
-def _persistent_pool(mp_context: str, workers: int) -> ProcessPoolExecutor:
-    import multiprocessing
-
-    key = (mp_context, workers)
-    pool = _PERSISTENT_POOLS.get(key)
-    if pool is None:
-        context = multiprocessing.get_context(mp_context)
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        _PERSISTENT_POOLS[key] = pool
-    return pool
-
-
-def _evict_persistent_pool(mp_context: str, workers: int) -> None:
-    pool = _PERSISTENT_POOLS.pop((mp_context, workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_persistent_pools() -> None:
-    """Shut down every pool created by ``ParallelConfig(persistent=True)``.
-
-    Idempotent; also registered via :mod:`atexit` so leaked pools never
-    outlive the parent process.
-    """
-    while _PERSISTENT_POOLS:
-        _, pool = _PERSISTENT_POOLS.popitem()
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-atexit.register(shutdown_persistent_pools)
-
-
 def _run_serial(
     task: Callable[[Any], Any],
     points: Sequence[Any],
@@ -298,62 +213,28 @@ def _run_pool(
     task: Callable[[Any], Any],
     points: Sequence[Any],
     workers: int,
-    config: "ParallelConfig",
     on_progress: Optional[Callable[[PointResult, int], None]],
 ) -> List[PointResult]:
-    import multiprocessing
-
-    chunk_size = config.chunk_size or 1
     total = len(points)
     ordered: List[Optional[PointResult]] = [None] * total
-
-    if config.persistent:
-        pool = _persistent_pool(config.mp_context, workers)
-        close = None
-    else:
-        context = multiprocessing.get_context(config.mp_context)
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        close = pool.shutdown
-
-    try:
-        if chunk_size == 1:
-            pending = {
-                pool.submit(_pool_point, task, index, point): [(index, point)]
-                for index, point in enumerate(points)
-            }
-        else:
-            indexed = list(enumerate(points))
-            pending = {
-                pool.submit(_pool_chunk, task, indexed[start : start + chunk_size]):
-                    indexed[start : start + chunk_size]
-                for start in range(0, total, chunk_size)
-            }
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        pending = {
+            pool.submit(_pool_point, task, index, point): index
+            for index, point in enumerate(points)
+        }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                chunk = pending.pop(future)
+                index = pending.pop(future)
                 error = future.exception()
                 if error is not None:
                     for other in pending:
                         other.cancel()
-                    if isinstance(error, BrokenProcessPool) and config.persistent:
-                        # A dead worker poisons the whole executor; evict
-                        # it so the next sweep gets a fresh pool.
-                        _evict_persistent_pool(config.mp_context, workers)
-                    if isinstance(error, _ChunkPointError):
-                        index = error.index
-                        point = points[index]
-                    else:
-                        index, point = chunk[0]
-                    raise SweepError(index, point, error) from error
-                got = future.result()
-                for result in got if chunk_size > 1 else [got]:
-                    ordered[result.index] = result
-                    if on_progress is not None:
-                        on_progress(result, total)
-    finally:
-        if close is not None:
-            close(wait=True)
+                    raise SweepError(index, points[index], error) from error
+                result = future.result()
+                ordered[result.index] = result
+                if on_progress is not None:
+                    on_progress(result, total)
     return [r for r in ordered if r is not None]
 
 
@@ -389,7 +270,7 @@ def run_sweep(
         results = _run_serial(task, points, on_progress)
         mode, used = "serial", 1
     else:
-        results = _run_pool(task, points, workers, config, on_progress)
+        results = _run_pool(task, points, workers, on_progress)
         mode, used = "parallel", workers
     wall = time.perf_counter() - start
 
@@ -404,15 +285,10 @@ def run_sweep(
                 )
         verified = True
 
-    extras: Dict[str, Any] = {}
-    if mode == "parallel":
-        extras["chunk_size"] = config.chunk_size or 1
-        extras["persistent"] = config.persistent
     return SweepReport(
         results=tuple(results),
         wall_seconds=wall,
         workers=used,
         mode=mode,
         verified=verified,
-        extras=extras,
     )

@@ -30,6 +30,7 @@ from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..hardware.platform import ServerNode
 from ..hardware.power import DeviceEnergy, EnergySnapshot
 from ..kernel import ExecutionBackend, RandomStreams, VirtualTimeBackend, run_until
+from ..sim.sums import float_sum
 from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import Dataset, reference_dataset
 from ..workload import Workload
@@ -157,7 +158,7 @@ class RunResult:
 
     @property
     def gpu_joules_per_image(self) -> float:
-        total = sum(e.total_joules for name, e in self.energy.items() if name != "cpu")
+        total = float_sum(e.total_joules for name, e in self.energy.items() if name != "cpu")
         return total / self.metrics.completed
 
     @property
@@ -298,7 +299,7 @@ class RunSession:
             min(1.0, cpu_busy / (self.node.cpu.core_count * window)) if window > 0 else 0.0
         )
         gpu_util = (
-            sum(min(1.0, b / window) for b in gpu_busy) / len(gpu_busy)
+            float_sum(min(1.0, b / window) for b in gpu_busy) / len(gpu_busy)
             if window > 0
             else 0.0
         )

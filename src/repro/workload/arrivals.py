@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..sim.sums import float_sum
+
 __all__ = [
     "ArrivalModel",
     "ConstantRate",
@@ -65,7 +67,7 @@ class ArrivalModel:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         step = horizon / samples
-        total = sum(self.rate_at((i + 0.5) * step) for i in range(samples))
+        total = float_sum(self.rate_at((i + 0.5) * step) for i in range(samples))
         return total / samples
 
     def describe(self) -> Dict[str, object]:
@@ -279,10 +281,10 @@ class RegionalMix(ArrivalModel):
         return region.weight * self.base.rate_at(t + region.offset_seconds)
 
     def rate_at(self, t: float) -> float:
-        return sum(self._region_rate(region, t) for region in self.regions)
+        return float_sum(self._region_rate(region, t) for region in self.regions)
 
     def peak_rate(self) -> float:
-        return self.base.peak_rate() * sum(r.weight for r in self.regions)
+        return self.base.peak_rate() * float_sum(r.weight for r in self.regions)
 
     def phase_at(self, t: float) -> str:
         top = max(self.regions, key=lambda region: self._region_rate(region, t))
@@ -320,10 +322,10 @@ class Superpose(ArrivalModel):
         self.name = "+".join(model.name for model in self.models)
 
     def rate_at(self, t: float) -> float:
-        return sum(model.rate_at(t) for model in self.models)
+        return float_sum(model.rate_at(t) for model in self.models)
 
     def peak_rate(self) -> float:
-        return sum(model.peak_rate() for model in self.models)
+        return float_sum(model.peak_rate() for model in self.models)
 
     def phase_at(self, t: float) -> str:
         top = max(self.models, key=lambda model: model.rate_at(t))

@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
+from ..sim.sums import float_sum
+
 __all__ = ["MarkovSessionModel", "SessionState"]
 
 
@@ -89,7 +91,7 @@ class MarkovSessionModel:
                 raise ValueError(f"state {name!r} has no transition row")
             if any(target not in names for target in row):
                 raise ValueError(f"transition row {name!r} names unknown states")
-            total = sum(row.values())
+            total = float_sum(row.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(
                     f"transition row {name!r} sums to {total}, expected 1.0")
@@ -114,8 +116,8 @@ class MarkovSessionModel:
             new = {}
             for name, state in self.states.items():
                 cont = 1.0 - state.exit_probability
-                follow = sum(p * lengths[target]
-                             for target, p in self.transitions[name])
+                follow = float_sum(p * lengths[target]
+                                   for target, p in self.transitions[name])
                 new[name] = 1.0 + cont * follow
             if all(abs(new[k] - lengths[k]) < 1e-12 for k in lengths):
                 lengths = new

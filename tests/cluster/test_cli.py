@@ -1,4 +1,4 @@
-"""CLI coverage for ``repro cluster`` and ``repro bench --cluster``."""
+"""CLI coverage for ``repro cluster``."""
 
 import json
 

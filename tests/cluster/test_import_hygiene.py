@@ -18,7 +18,6 @@ CHECK_SNIPPET = """
 import sys
 import repro.cluster             # config/records/runner: the API surface
 import repro.cluster.shards      # what run_shard_point executes
-import repro.cluster.bench       # the harness a CI worker runs
 heavy = [name for name in {heavy!r} if name in sys.modules]
 assert not heavy, f"cluster worker surface imported heavy modules: {{heavy}}"
 print("clean")

@@ -11,11 +11,7 @@ from repro.parallel import (
     derive_seed,
     run_sweep,
 )
-from repro.parallel.executor import (
-    _PERSISTENT_POOLS,
-    _pool_point,
-    shutdown_persistent_pools,
-)
+from repro.parallel.executor import _pool_point
 
 
 # Task functions must live at module level so they pickle by reference.
@@ -52,10 +48,6 @@ class TestParallelConfig:
             ParallelConfig(workers=0)
         with pytest.raises(ValueError):
             ParallelConfig(workers=-2)
-
-    def test_rejects_bad_context(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(mp_context="thread")
 
     def test_resolved_workers_capped_by_points(self):
         assert ParallelConfig(workers=8).resolved_workers(3) == 3
@@ -116,86 +108,6 @@ class TestRunSweepParallel:
             square, [1, 2, 3], ParallelConfig(workers=2, verify=True)
         )
         assert report.verified is True
-
-
-class TestChunkedSubmission:
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
-
-    def test_chunked_matches_serial_in_order(self):
-        serial = run_sweep(square, list(range(7)), ParallelConfig(serial=True))
-        chunked = run_sweep(
-            square, list(range(7)), ParallelConfig(workers=2, chunk_size=3)
-        )
-        assert chunked.mode == "parallel"
-        assert chunked.values == serial.values
-        assert [r.index for r in chunked.results] == list(range(7))
-
-    def test_chunk_larger_than_sweep(self):
-        report = run_sweep(
-            square, [2, 3], ParallelConfig(workers=2, chunk_size=100)
-        )
-        assert report.values == [4, 9]
-
-    def test_chunked_failure_names_the_exact_point(self):
-        """The failing point inside a chunk — not the chunk — is named."""
-        with pytest.raises(SweepError) as excinfo:
-            run_sweep(
-                fail_on_three,
-                [1, 2, 3, 4, 5, 6],
-                ParallelConfig(workers=2, chunk_size=3),
-            )
-        assert excinfo.value.index == 2
-        assert excinfo.value.point == 3
-
-    def test_report_records_chunk_size(self):
-        report = run_sweep(
-            square, list(range(4)), ParallelConfig(workers=2, chunk_size=2)
-        )
-        assert report.to_dict()["chunk_size"] == 2
-
-
-class TestPersistentPool:
-    @pytest.fixture(autouse=True)
-    def _clean_pools(self):
-        shutdown_persistent_pools()
-        yield
-        shutdown_persistent_pools()
-
-    def test_persistent_matches_serial(self):
-        serial = run_sweep(square, list(range(5)), ParallelConfig(serial=True))
-        pooled = run_sweep(
-            square, list(range(5)), ParallelConfig(workers=2, persistent=True)
-        )
-        assert pooled.values == serial.values
-        assert pooled.to_dict()["persistent"] is True
-
-    def test_pool_is_reused_across_sweeps(self):
-        config = ParallelConfig(workers=2, persistent=True)
-        run_sweep(square, list(range(4)), config)
-        assert len(_PERSISTENT_POOLS) == 1
-        pool = next(iter(_PERSISTENT_POOLS.values()))
-        run_sweep(square, list(range(4)), config)
-        assert next(iter(_PERSISTENT_POOLS.values())) is pool
-
-    def test_shutdown_is_idempotent(self):
-        run_sweep(
-            square, list(range(4)), ParallelConfig(workers=2, persistent=True)
-        )
-        assert _PERSISTENT_POOLS
-        shutdown_persistent_pools()
-        assert not _PERSISTENT_POOLS
-        shutdown_persistent_pools()  # second call: no-op, no raise
-
-    def test_persistent_failure_still_names_the_point(self):
-        with pytest.raises(SweepError) as excinfo:
-            run_sweep(
-                fail_on_three,
-                [1, 3],
-                ParallelConfig(workers=2, persistent=True),
-            )
-        assert excinfo.value.point == 3
 
 
 class TestSweepReport:

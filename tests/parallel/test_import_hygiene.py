@@ -18,7 +18,6 @@ from repro.parallel import HEAVY_MODULES
 CHECK_SNIPPET = """
 import sys
 import repro.parallel            # executor + tasks: the worker surface
-import repro.parallel.bench      # the harness a CI worker runs
 import repro.serving.runner      # what run_experiment_point executes
 import repro.faults.experiment   # what run_fleet_result_point executes
 heavy = [name for name in {heavy!r} if name in sys.modules]

@@ -94,28 +94,6 @@ class TestSerialParallelIdentity:
             _canonical(row) for row in pooled.values
         ]
 
-    def test_persistent_pool_and_chunked_points(self):
-        """A persistent spawn pool with chunked batches computes the
-        same bytes as a serial loop — worker reuse leaks no state."""
-        from repro.parallel.executor import shutdown_persistent_pools
-
-        points = [
-            ExperimentPoint(config=_closed_loop_config(seed=s))
-            for s in (0, 1, 2, 3)
-        ]
-        serial = run_sweep(
-            run_experiment_point, points, ParallelConfig(serial=True)
-        )
-        try:
-            config = ParallelConfig(workers=2, persistent=True, chunk_size=2)
-            first = run_sweep(run_experiment_point, points, config)
-            second = run_sweep(run_experiment_point, points, config)  # warm
-        finally:
-            shutdown_persistent_pools()
-        assert [_canonical(row) for row in serial.values] == [
-            _canonical(row) for row in first.values
-        ] == [_canonical(row) for row in second.values]
-
     def test_face_pipeline_points(self):
         points = [
             FacePipelinePoint(
