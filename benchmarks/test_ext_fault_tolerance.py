@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import format_table, resilience_summary
 from repro.core import ServerConfig
-from repro.faults import FaultPlan, gpu_crash_plan, run_fault_experiment, sweep_fault_rates
+from repro.faults import FaultPlan, gpu_crash_plan, sweep_fault_rates
 from repro.serving import ResiliencePolicy, run_fleet_experiment
 from repro.workload import Workload
 
@@ -40,7 +40,7 @@ def test_fault_injection_off_is_bit_identical(run_once):
         base = run_fleet_experiment(SERVER, **LOAD)
         off = run_fleet_experiment(SERVER, resilience=None, faults=None, **LOAD)
         plan = FaultPlan()  # empty plan: enabled is False
-        empty = run_fault_experiment(SERVER, faults=plan, resilience=None, **LOAD)
+        empty = run_fleet_experiment(SERVER, faults=plan, resilience=None, **LOAD)
         return base, off, empty
 
     base, off, empty = run_once(sweep)
@@ -57,7 +57,7 @@ def test_goodput_survives_one_percent_gpu_crashes(run_once):
         baseline = run_fleet_experiment(
             SERVER, resilience=ResiliencePolicy(), **LONG_LOAD
         )
-        faulty = run_fault_experiment(
+        faulty = run_fleet_experiment(
             SERVER, faults=gpu_crash_plan(0.01, restart_seconds=0.5), **LONG_LOAD
         )
         return baseline, faulty

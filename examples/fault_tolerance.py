@@ -17,7 +17,7 @@ Run:  python examples/fault_tolerance.py
 
 from repro.analysis import format_table, resilience_summary
 from repro.core import ServerConfig
-from repro.faults import FaultPlan, GpuCrash, run_fault_experiment
+from repro.faults import FaultPlan, GpuCrash
 from repro.serving import ResiliencePolicy, run_fleet_experiment
 from repro.workload import Workload
 
@@ -32,13 +32,14 @@ def main() -> None:
     server = ServerConfig(model="resnet-50")
 
     baseline = run_fleet_experiment(server, **LOAD)
-    unprotected = run_fault_experiment(
+    unprotected = run_fleet_experiment(
         server,
         faults=CRASHES,
         resilience=ResiliencePolicy(deadline_seconds=None, breaker=None),
         **LOAD,
     )
-    protected = run_fault_experiment(server, faults=CRASHES, **LOAD)
+    # A fault plan without a policy gets the default one.
+    protected = run_fleet_experiment(server, faults=CRASHES, **LOAD)
 
     headers = ["run", "faults", "throughput", "p99 (ms)", "timeouts", "retries"]
     rows = []

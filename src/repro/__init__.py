@@ -55,7 +55,6 @@ from .faults import (
     PcieThrottle,
     SlowNode,
     gpu_crash_plan,
-    run_fault_experiment,
     sweep_fault_rates,
 )
 from .hardware import DEFAULT_CALIBRATION, Calibration, ServerNode
@@ -123,7 +122,6 @@ __all__ = [
     "RetryPolicy",
     "SlowNode",
     "gpu_crash_plan",
-    "run_fault_experiment",
     "sweep_fault_rates",
     "AsyncioBackend",
     "DEFAULT_CALIBRATION",

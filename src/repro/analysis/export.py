@@ -70,8 +70,6 @@ def run_result_to_dict(result) -> Dict[str, Any]:
             "gpu_utilization": result.gpu_utilization,
         }
     )
-    if getattr(result, "fault_count", 0):
-        out["fault_count"] = result.fault_count
     return out
 
 

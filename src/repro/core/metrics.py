@@ -87,7 +87,7 @@ class RunMetrics:
     extras: Dict[str, float] = field(default_factory=dict)
     #: Requests that completed past their deadline inside the window.
     timeout_count: int = 0
-    #: Retry attempts issued inside the window (client or balancer).
+    #: Retry attempts the load balancer issued inside the window.
     retry_count: int = 0
     #: Requests rejected by admission control inside the window.
     shed_count: int = 0
@@ -245,7 +245,7 @@ class MetricsCollector:
             self._requests.append(request)
 
     def note_retry(self) -> None:
-        """Record one retry attempt (client- or balancer-side)."""
+        """Record one retry attempt by a load balancer."""
         self.total_retries += 1
         if self._armed:
             self._retries += 1
@@ -270,7 +270,7 @@ class MetricsCollector:
         )
         registry.counter_fn(
             "repro_requests_retry_total",
-            "Retry attempts issued by clients or balancers",
+            "Retry attempts issued by load balancers",
             lambda: self.total_retries,
         )
         registry.counter_fn(

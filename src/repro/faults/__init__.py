@@ -36,7 +36,7 @@ from .profiles import (
     SlowNode,
     gpu_crash_plan,
 )
-from .experiment import FaultSweepPoint, run_fault_experiment, sweep_fault_rates
+from .experiment import FaultSweepPoint, sweep_fault_rates
 
 __all__ = [
     "BrokerFault",
@@ -51,6 +51,5 @@ __all__ = [
     "PcieThrottle",
     "SlowNode",
     "gpu_crash_plan",
-    "run_fault_experiment",
     "sweep_fault_rates",
 ]

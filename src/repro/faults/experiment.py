@@ -2,10 +2,11 @@
 
 The headline robustness question: how much of the paper's healthy-
 testbed throughput survives a given fault rate, and what do deadlines,
-retries, and circuit breaking buy?  :func:`run_fault_experiment` runs
-one fleet under one fault plan; :func:`sweep_fault_rates` walks GPU
-downtime fractions and reports goodput/p99 degradation against the
-fault-free baseline.
+retries, and circuit breaking buy?  One fleet under one fault plan is
+:func:`~repro.serving.fleet.run_fleet_experiment` with ``faults=``
+(which turns the default resilience policy on);
+:func:`sweep_fault_rates` walks GPU downtime fractions and reports
+goodput/p99 degradation against the fault-free baseline.
 """
 
 from __future__ import annotations
@@ -14,53 +15,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.config import ServerConfig
-from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..serving.fleet import FleetResult, run_fleet_experiment
 from ..serving.resilience import ResiliencePolicy
-from ..workload import Workload
-from .profiles import FaultPlan, gpu_crash_plan
+from .profiles import gpu_crash_plan
 
-__all__ = ["FaultSweepPoint", "run_fault_experiment", "sweep_fault_rates"]
-
-
-def run_fault_experiment(
-    server_config: ServerConfig,
-    faults: Optional[FaultPlan] = None,
-    resilience: Optional[ResiliencePolicy] = None,
-    node_count: int = 2,
-    *,
-    workload: Workload,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    gpu_count: int = 1,
-    per_node_cap: int = 512,
-    seed: int = 0,
-    warmup_requests: int = 300,
-    measure_requests: int = 2000,
-    max_sim_seconds: float = 60.0,
-) -> FleetResult:
-    """One fleet experiment under a fault plan.
-
-    A thin front door over
-    :func:`~repro.serving.fleet.run_fleet_experiment` that defaults the
-    resilience policy on whenever a fault plan is active (running faults
-    without deadlines would just hang the tail).
-    """
-    if resilience is None and faults is not None and faults.enabled:
-        resilience = ResiliencePolicy()
-    return run_fleet_experiment(
-        server_config,
-        node_count=node_count,
-        workload=workload,
-        calibration=calibration,
-        gpu_count=gpu_count,
-        per_node_cap=per_node_cap,
-        seed=seed,
-        warmup_requests=warmup_requests,
-        measure_requests=measure_requests,
-        max_sim_seconds=max_sim_seconds,
-        resilience=resilience,
-        faults=faults,
-    )
+__all__ = ["FaultSweepPoint", "sweep_fault_rates"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -100,6 +59,7 @@ def sweep_fault_rates(
     restart_seconds: float = 0.5,
     resilience: Optional[ResiliencePolicy] = None,
     workers: Optional[int] = None,
+    node_count: int = 2,
     **run_kwargs,
 ) -> List[FaultSweepPoint]:
     """GPU-crash sweep: goodput/p99 degradation vs per-GPU downtime.
@@ -121,8 +81,8 @@ def sweep_fault_rates(
         from ..parallel import FleetPoint, ParallelConfig, run_fleet_result_point, run_sweep
 
         sweep = [
-            FleetPoint(server=server_config, faults=faults,
-                       resilience=resilience, **run_kwargs)
+            FleetPoint(server=server_config, node_count=node_count,
+                       faults=faults, resilience=resilience, **run_kwargs)
             for faults in [None, *plans]
         ]
         report = run_sweep(
@@ -130,14 +90,10 @@ def sweep_fault_rates(
         )
         baseline, *results = report.values
     else:
-        baseline = run_fault_experiment(
-            server_config, faults=None, resilience=resilience, **run_kwargs
-        )
-        results = [
-            run_fault_experiment(
-                server_config, faults=plan, resilience=resilience, **run_kwargs
-            )
-            for plan in plans
+        baseline, *results = [
+            run_fleet_experiment(server_config, node_count, faults=faults,
+                                 resilience=resilience, **run_kwargs)
+            for faults in [None, *plans]
         ]
     return [
         FaultSweepPoint(downtime_fraction=fraction, result=result, baseline=baseline)

@@ -17,21 +17,23 @@ Endpoints:
   scraper is configured.  ``repro top`` polls this.
 - ``GET /stats``    — JSON snapshot of admission/completion counters,
   SLO burn windows, and scraper/alert state.
-- ``POST /v1/infer`` — admit one request; body ``{"size": "medium",
-  "key": 123}`` (both optional); responds after completion with
-  latency, batch size, cache tier, and per-span seconds.  A W3C
+- ``POST /v1/infer`` — admit one request; body ``{"size": "medium"}``
+  (optional; unknown fields are ignored); responds after completion
+  with latency, batch size, cache tier, and per-span seconds.  A W3C
   ``traceparent`` header joins the caller's distributed trace; the
   response carries the server-side ``traceparent`` back.
 
 Connections are ``Connection: close`` — one request per connection
-keeps the parser trivial and the shutdown path enumerable.
+keeps the parser trivial and the shutdown path enumerable.  Reading a
+request head or body times out with a 408, and ``stop()`` closes every
+connection still sending its request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Set, Tuple
 
 from .node import LiveNode, NodeShuttingDown
 
@@ -39,12 +41,15 @@ __all__ = ["LiveHttpServer"]
 
 _MAX_HEADER_BYTES = 16384
 _MAX_BODY_BYTES = 1 << 20
+#: Seconds each read of a request (its head, then its body) may take.
+_READ_TIMEOUT_SECONDS = 5.0
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -59,6 +64,8 @@ class LiveHttpServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Connections blocked reading their request (``stop`` closes them).
+        self._reading: Set[asyncio.StreamWriter] = set()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -75,9 +82,14 @@ class LiveHttpServer:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
 
     async def stop(self) -> None:
-        """Stop accepting new connections (in-flight handlers finish)."""
+        """Stop accepting connections and close those still sending their
+        request (from 3.12 ``wait_closed()`` waits for every connection;
+        ``close_clients()`` exists only from 3.13); handlers with a
+        request in flight finish."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._reading):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -85,7 +97,7 @@ class LiveHttpServer:
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
-            status, payload = await self._respond(reader)
+            status, payload = await self._respond(reader, writer)
         except Exception as error:  # noqa: BLE001 - handler must not leak
             status, payload = 500, {"error": type(error).__name__, "detail": str(error)}
         body = json.dumps(payload).encode()
@@ -116,11 +128,22 @@ class LiveHttpServer:
             except (ConnectionError, BrokenPipeError):
                 pass
 
-    async def _respond(self, reader: asyncio.StreamReader) -> Tuple[int, Dict[str, Any]]:
+    async def _read(self, writer: asyncio.StreamWriter, read: Awaitable) -> Any:
+        """Await one read of the request under the read deadline."""
+        self._reading.add(writer)
         try:
-            request_line, headers = await self._read_head(reader)
+            return await asyncio.wait_for(read, _READ_TIMEOUT_SECONDS)
+        finally:
+            self._reading.discard(writer)
+
+    async def _respond(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> Tuple[int, Dict[str, Any]]:
+        try:
+            request_line, headers = await self._read(writer, self._read_head(reader))
         except ValueError as error:
             return 400, {"error": "bad request", "detail": str(error)}
+        except asyncio.TimeoutError:
+            return 408, {"error": "request head not received in time"}
         parts = request_line.split()
         if len(parts) != 3:
             return 400, {"error": "malformed request line"}
@@ -138,7 +161,7 @@ class LiveHttpServer:
         if path == "/v1/infer":
             if method != "POST":
                 return 405, {"error": "use POST"}
-            return await self._infer(reader, headers)
+            return await self._infer(reader, writer, headers)
         if method not in ("GET", "POST"):
             return 405, {"error": f"method {method} not supported"}
         return 404, {"error": f"no route for {path}"}
@@ -157,7 +180,8 @@ class LiveHttpServer:
             return 404, {"error": "no metrics scraper configured on this node"}
         return 200, payload
 
-    async def _infer(self, reader: asyncio.StreamReader, headers: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
+    async def _infer(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                     headers: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
         digits = headers.get("content-length", "0") or "0"
         if not (digits.isascii() and digits.isdigit()):
             return 400, {"error": "Content-Length must be a decimal byte count"}
@@ -166,9 +190,11 @@ class LiveHttpServer:
         if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
             return 413, {"error": "body too large"}
         try:
-            body = await reader.readexactly(int(digits))
+            body = await self._read(writer, reader.readexactly(int(digits)))
         except asyncio.IncompleteReadError:
             return 400, {"error": "body shorter than Content-Length"}
+        except asyncio.TimeoutError:
+            return 408, {"error": "body not received in time"}
         if body:
             try:
                 spec = json.loads(body)
@@ -181,12 +207,9 @@ class LiveHttpServer:
         size = spec.get("size", "medium")
         if not isinstance(size, str):
             return 400, {"error": "size must be a string"}
-        key = spec.get("key")
-        if key is not None and not isinstance(key, int):
-            return 400, {"error": "key must be an integer"}
         traceparent = headers.get("traceparent")
         try:
-            result = await self.node.infer(size=size, key=key, traceparent=traceparent)
+            result = await self.node.infer(size=size, traceparent=traceparent)
         except NodeShuttingDown:
             self.node.rejected += 1
             return 503, {"error": "node is shutting down"}

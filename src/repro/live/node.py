@@ -90,8 +90,7 @@ class LiveNode:
             on_complete=self._on_complete,
         )
         self.session.attach_server(self.server)
-        self._datasets = {size: reference_dataset(size) for size in _SIZES}
-        self._rng = self.streams.stream("live-admission")
+        self._images = {size: reference_dataset(size).image for size in _SIZES}
         self._task: Optional[asyncio.Task] = None
         self.accepting = False
         self.admitted = 0
@@ -165,14 +164,11 @@ class LiveNode:
         self,
         *,
         size: str = "medium",
-        key: Optional[int] = None,
         traceparent: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Admit one request and await its completion.
 
-        ``size`` picks the reference image class; ``key`` selects a
-        deterministic catalog item (stable cache identity across
-        requests), ``None`` draws from the admission RNG.
+        ``size`` picks the reference image class.
         ``traceparent`` joins an incoming W3C distributed trace: the
         node opens a child span of the caller's context, the request
         carries it through the policy stack, and the response reports
@@ -181,7 +177,7 @@ class LiveNode:
         """
         if not self.accepting:
             raise NodeShuttingDown("node is shutting down")
-        if size not in self._datasets:
+        if size not in self._images:
             raise ValueError(f"size must be one of {_SIZES}, got {size!r}")
         trace = None
         if traceparent is not None:
@@ -190,11 +186,7 @@ class LiveNode:
             trace = TraceContext.from_traceparent(traceparent).child(
                 "infer", self.admitted
             )
-        dataset = self._datasets[size]
-        if key is not None:
-            image = dataset.item(key) if hasattr(dataset, "item") else dataset.sample(self._rng)
-        else:
-            image = dataset.sample(self._rng)
+        image = self._images[size]
         arrival = self.env.touch()
         self.admitted += 1
         self._idle.clear()

@@ -21,6 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.config import ServerConfig
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
+from ..serving.fleet import run_fleet_experiment
 from ..serving.runner import ExperimentConfig, run_experiment, run_open_loop
 from ..workload import Workload
 
@@ -120,9 +121,7 @@ class FleetPoint:
     tags: Tags = ()
 
     def _run(self):
-        from ..faults.experiment import run_fault_experiment
-
-        return run_fault_experiment(
+        return run_fleet_experiment(
             self.server,
             faults=self.faults,
             resilience=self.resilience,

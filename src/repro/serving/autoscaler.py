@@ -18,11 +18,10 @@ from typing import List, Optional
 
 from ..core.config import ServerConfig
 from ..core.metrics import MetricsCollector
-from ..core.request import OUTCOME_SHED, InferenceRequest
-from ..core.server import InferenceServer
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
-from ..hardware.platform import ServerNode
-from ..kernel import Event, ExecutionBackend, Store
+from ..kernel import Event, ExecutionBackend
+from .fleet import Fleet
+from .resilience import ResiliencePolicy
 
 __all__ = ["AutoscalerPolicy", "AutoscaledFleet", "ScalingEvent"]
 
@@ -84,7 +83,14 @@ class ScalingEvent:
 
 
 class AutoscaledFleet:
-    """A fleet whose active node count follows the offered load."""
+    """A fleet whose active node count follows the offered load.
+
+    All ``max_nodes`` nodes exist up front in one
+    :class:`~repro.serving.fleet.Fleet` (a warm pool) and take traffic
+    through its :class:`~repro.serving.fleet.LoadBalancer`, which marks
+    the nodes outside the active prefix down.  A scale-in stops routing
+    to the last active node; its in-flight requests still finish.
+    """
 
     def __init__(
         self,
@@ -98,52 +104,39 @@ class AutoscaledFleet:
     ) -> None:
         self.env = env
         self.policy = policy
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        # All max_nodes nodes exist up front (simulating a warm pool);
-        # "provisioning" models activation latency.
-        self.servers: List[InferenceServer] = [
-            InferenceServer(
-                env,
-                ServerNode(env, calibration, gpu_count=gpu_count),
-                server_config,
-                metrics=self.metrics,
-                on_complete=on_complete,
-            )
-            for _ in range(policy.max_nodes)
-        ]
+        # Admission control only: no deadline, no retries, no breaker.
+        resilience = None
+        if policy.max_backlog is not None:
+            resilience = ResiliencePolicy(deadline_seconds=None, breaker=None,
+                                          max_backlog=policy.max_backlog)
+        self.fleet = Fleet(
+            env, policy.max_nodes, server_config,
+            calibration=calibration, gpu_count=gpu_count,
+            per_node_cap=policy.per_node_cap, metrics=metrics,
+            on_complete=on_complete, resilience=resilience,
+        )
+        self.balancer = self.fleet.balancer
         self.active_count = policy.min_nodes
+        for index in range(policy.min_nodes, policy.max_nodes):
+            self.balancer.set_node_up(index, False)
         self._provisioning = 0
-        self.outstanding = [0] * policy.max_nodes
         self.events: List[ScalingEvent] = []
-        self.shed = 0
         self._last_action_time = -float("inf")
-        self._backlog: Store = Store(env)
-        env.process(self._dispatcher())
         env.process(self._controller())
 
     # -- public API --------------------------------------------------------------
 
     def submit(self, image, phase: Optional[str] = None) -> Event:
-        done = self.env.event()
-        if (
-            self.policy.max_backlog is not None
-            and self._backlog.size >= self.policy.max_backlog
-        ):
-            # Admission control: reject without touching any node (same
-            # contract as LoadBalancer shedding).
-            self.shed += 1
-            self.metrics.note_shed()
-            request = InferenceRequest(image, arrival_time=self.env.now,
-                                       phase=phase)
-            request.outcome = OUTCOME_SHED
-            done.succeed(request)
-            return done
-        self._backlog.put((image, done, self.env.now, phase))
-        return done
+        return self.balancer.submit(image, phase=phase)
+
+    @property
+    def shed(self) -> int:
+        """Requests rejected by backlog admission control."""
+        return self.balancer.shed
 
     @property
     def total_outstanding(self) -> int:
-        return sum(self.outstanding[: self.active_count])
+        return sum(self.balancer.outstanding[: self.active_count])
 
     def register_metrics(self, registry) -> None:
         """Publish autoscaler state as registry views (observation only)."""
@@ -160,7 +153,7 @@ class AutoscaledFleet:
         registry.gauge_fn(
             "repro_autoscaler_backlog_depth",
             "Requests waiting in the autoscaler balancer queue",
-            lambda: self._backlog.size,
+            lambda: self.balancer.backlog_depth,
         )
         registry.gauge_fn(
             "repro_autoscaler_outstanding",
@@ -185,34 +178,10 @@ class AutoscaledFleet:
         Includes the balancer backlog: requests held at the cap are the
         clearest over-capacity signal.
         """
-        per_node = (self.total_outstanding + self._backlog.size) / self.active_count
+        per_node = (self.total_outstanding + self.balancer.backlog_depth) / self.active_count
         return per_node / self.policy.target_outstanding_per_node
 
     # -- internals ----------------------------------------------------------------
-
-    def _dispatcher(self):
-        cap = self.policy.per_node_cap
-        while True:
-            image, done, enqueued_at, phase = yield self._backlog.get()
-            while True:
-                index = min(
-                    range(self.active_count), key=lambda i: self.outstanding[i]
-                )
-                if self.outstanding[index] < cap:
-                    break
-                # Every active node at its cap: hold the request in the
-                # balancer until capacity (or a new node) appears.
-                yield self.env.timeout(0.5e-3)
-            self.outstanding[index] += 1
-            # Backdated so balancer queueing counts in request latency.
-            inner = self.servers[index].submit(image, arrival_time=enqueued_at,
-                                               phase=phase)
-            self.env.process(self._track(index, inner, done))
-
-    def _track(self, index: int, inner: Event, done: Event):
-        request = yield inner
-        self.outstanding[index] -= 1
-        done.succeed(request)
 
     def _controller(self):
         policy = self.policy
@@ -230,9 +199,10 @@ class AutoscaledFleet:
                 self.env.process(self._provision())
             elif factor < policy.scale_in_threshold and self.active_count > policy.min_nodes:
                 # Drain-free scale-in: stop routing to the last node; its
-                # in-flight requests finish via their tracked events.
+                # in-flight requests still finish.
                 self._last_action_time = self.env.now
                 self.active_count -= 1
+                self.balancer.set_node_up(self.active_count, False)
                 self.events.append(
                     ScalingEvent(self.env.now, "scale_in", self.active_count)
                 )
@@ -241,6 +211,7 @@ class AutoscaledFleet:
         yield self.env.timeout(self.policy.provision_delay_seconds)
         self._provisioning -= 1
         if self.active_count < self.policy.max_nodes:
+            self.balancer.set_node_up(self.active_count, True)
             self.active_count += 1
             self.events.append(
                 ScalingEvent(self.env.now, "scale_out", self.active_count)

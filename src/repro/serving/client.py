@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..core.metrics import MetricsCollector
 from ..core.server import InferenceServer
 from ..kernel import ExecutionBackend, RandomStreams
 from ..vision.datasets import Dataset
-from .resilience import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..workload.source import ArrivalSource
@@ -27,12 +25,11 @@ __all__ = ["ClosedLoopClient", "WorkloadClient"]
 class ClosedLoopClient:
     """Keeps exactly ``concurrency`` requests outstanding.
 
-    With a :class:`~repro.serving.resilience.ResiliencePolicy` each
-    worker races its request against the per-attempt deadline and
-    retries with exponential backoff (drawing jitter from the
-    ``client:retry`` stream); an abandoned attempt still drains on the
-    server, where it is recorded as a timeout.  With ``resilience=None``
-    (the default) the submit path is untouched.
+    Each worker submits, waits for the completion, thinks, and submits
+    again.  There are no deadlines or retries here: those belong to a
+    :class:`~repro.serving.fleet.LoadBalancer` with a
+    :class:`~repro.serving.resilience.ResiliencePolicy`, the one place
+    a failed attempt has another node to go to.
     """
 
     def __init__(
@@ -44,8 +41,6 @@ class ClosedLoopClient:
         streams: RandomStreams,
         think_time_seconds: float = 0.0,
         think_jitter_seconds: float = 0.0,
-        resilience: Optional[ResiliencePolicy] = None,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
@@ -57,14 +52,10 @@ class ClosedLoopClient:
         self.concurrency = concurrency
         self.think_time = think_time_seconds
         self.think_jitter = think_jitter_seconds
-        self.resilience = resilience
-        self.metrics = metrics
         self.issued = 0
-        self.retries = 0
         self._stopped = False
         self._rng = streams.stream("client:images")
         self._think_rng = streams.stream("client:think")
-        self._retry_rng = streams.stream("client:retry") if resilience is not None else None
         for _ in range(concurrency):
             env.process(self._worker())
 
@@ -76,43 +67,10 @@ class ClosedLoopClient:
         while not self._stopped:
             image = self.dataset.sample(self._rng)
             self.issued += 1
-            if self.resilience is None:
-                yield self.server.submit(image)
-            else:
-                yield from self._resilient_call(image)
+            yield self.server.submit(image)
             delay = self.think_time
             if self.think_jitter > 0:
                 delay += self._think_rng.uniform(0, self.think_jitter)
-            if delay > 0:
-                yield self.env.timeout(delay)
-
-    def _resilient_call(self, image):
-        """One logical request: deadline-raced attempts with backoff."""
-        policy = self.resilience
-        enqueued_at = self.env.now
-        attempt = 0
-        while True:
-            deadline = None
-            if policy.deadline_seconds is not None:
-                deadline = self.env.now + policy.deadline_seconds
-            inner = self.server.submit(
-                image, arrival_time=enqueued_at, deadline=deadline, attempt=attempt
-            )
-            if deadline is None:
-                yield inner
-                return
-            yield inner | self.env.timeout(policy.deadline_seconds)
-            if inner.triggered and not inner.value.deadline_exceeded:
-                return
-            # Attempt timed out (the stalled attempt drains server-side
-            # and is recorded there); retry if budget remains.
-            attempt += 1
-            if attempt >= policy.retry.max_attempts:
-                return
-            self.retries += 1
-            if self.metrics is not None:
-                self.metrics.note_retry()
-            delay = policy.retry.backoff_seconds(attempt, self._retry_rng)
             if delay > 0:
                 yield self.env.timeout(delay)
 

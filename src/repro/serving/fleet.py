@@ -25,10 +25,10 @@ from ..core.request import OUTCOME_SHED, OUTCOME_TIMEOUT, InferenceRequest
 from ..core.server import InferenceServer
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..hardware.platform import ServerNode
-from ..kernel import Event, ExecutionBackend, RandomStreams, Store, VirtualTimeBackend
+from ..kernel import Event, ExecutionBackend, RandomStreams, Store
 from ..vision.datasets import Dataset, reference_dataset
-from .client import WorkloadClient
 from .resilience import CircuitBreaker, ResiliencePolicy
+from .runner import RunSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..faults import FaultPlan
@@ -150,7 +150,9 @@ class LoadBalancer:
         return sum(self.outstanding)
 
     def set_node_up(self, index: int, up: bool) -> None:
-        """Mark a node (un)healthy; used by node-outage fault injection."""
+        """Mark a node up or down.  Node-outage fault injection uses it,
+        and so does :class:`~repro.serving.autoscaler.AutoscaledFleet`
+        for the nodes outside its active set."""
         self.node_up[index] = up
 
     def register_metrics(self, registry) -> None:
@@ -483,50 +485,32 @@ def run_fleet_experiment(
     Traffic comes from ``workload`` (a :class:`repro.workload.Workload`:
     constant Poisson, diurnal curves, flash crowds, sessions, trace
     replay, ...), injected by a :class:`~repro.serving.client.WorkloadClient`.
+    The warm-up/measure protocol is the single-node runners'
+    :class:`~repro.serving.runner.RunSession`; a fleet meters no energy.
 
     ``resilience`` enables deadlines/retries/shedding/circuit-breaking
-    in the balancer; ``faults`` injects the given fault plan.  Both
-    default to ``None``, which reproduces the fault-free experiment
-    exactly (no extra processes, no extra RNG draws).
+    in the balancer; ``faults`` injects the given fault plan.  An
+    enabled plan with ``resilience=None`` gets the default
+    :class:`ResiliencePolicy` (faults without deadlines would just hang
+    the tail).  Both default to ``None``, which reproduces the
+    fault-free experiment exactly (no extra processes, no extra RNG
+    draws).
     """
-    from .runner import _open_session
-
     workload.validate()
-    env = VirtualTimeBackend()
-    streams = RandomStreams(seed)
-    collector = MetricsCollector()
-    session = _open_session(telemetry, env)
-
-    warmup_done = env.event()
-    measure_done = env.event()
-    target_total = warmup_requests + measure_requests
-    completed = 0  # server completions: the warm-up/measure protocol
-    resolved = 0  # logical requests whose done event fired
+    if resilience is None and faults is not None and faults.enabled:
+        resilience = ResiliencePolicy()
+    run = RunSession(seed=seed, telemetry=telemetry)
+    session = run.session
     if warmup_requests == 0:
-        warmup_done.succeed()  # measurement window arms at t=0
-
-    def on_complete(request):
-        nonlocal completed
-        completed += 1
-        if completed == warmup_requests and not warmup_done.triggered:
-            warmup_done.succeed()
-        elif completed == target_total and not measure_done.triggered:
-            measure_done.succeed()
-        if session is not None:
-            session.observe_completion(request, env.now)
+        run.arm_immediately()  # measurement window arms at t=0
+    resolved = 0  # logical requests whose done event fired
 
     def finish_if_drained():
         # Bounded workloads (duration or trace end) may run dry before
-        # the completion targets; once every issued request has resolved
-        # (served, shed, or failed after its last attempt), waiting out
-        # max_sim_seconds would only pad the measurement window with
-        # dead air.
-        if not client.exhausted or resolved < client.issued:
-            return
-        if not warmup_done.triggered:
-            warmup_done.succeed()
-        if not measure_done.triggered:
-            measure_done.succeed()
+        # the completion targets; a request has resolved once it is
+        # served, shed, or failed after its last attempt.
+        if client.exhausted and resolved >= client.issued:
+            run.end_now()
 
     def on_resolved(_request):
         nonlocal resolved
@@ -534,23 +518,24 @@ def run_fleet_experiment(
         finish_if_drained()
 
     fleet = Fleet(
-        env,
+        run.env,
         node_count=node_count,
         server_config=server_config,
         calibration=calibration,
         gpu_count=gpu_count,
         per_node_cap=per_node_cap,
         policy=policy,
-        metrics=collector,
-        on_complete=on_complete,
+        metrics=run.collector,
+        on_complete=run.completion_observer(
+            warmup_requests, warmup_requests + measure_requests),
         resilience=resilience,
-        streams=streams,
+        streams=run.streams,
     )
     if session is not None:
         # One registration of the shared collector (the servers share
         # it, so per-server registration would duplicate); per-node
         # series come from the balancer's views.
-        collector.register_metrics(session.registry)
+        run.collector.register_metrics(session.registry)
         fleet.balancer.register_metrics(session.registry)
         for server in fleet.servers:
             server.tracer = session.tracer
@@ -560,40 +545,23 @@ def run_fleet_experiment(
     if faults is not None and faults.enabled:
         from ..faults.injector import FaultInjector
 
-        injector = FaultInjector(env, streams, faults)
+        injector = FaultInjector(run.env, run.streams, faults)
         injector.attach_fleet(fleet)
         injector.start()
         if session is not None:
             injector.register_metrics(session.registry)
-    source = workload.source(streams, prefix="fleet",
-                             default_dataset=reference_dataset("medium"))
-    if session is not None and source.model is not None:
-        model = source.model
-        session.registry.gauge_fn(
-            "repro_workload_offered_rate",
-            "Instantaneous workload arrival rate (requests/second)",
-            lambda: model.rate_at(env.now),
-        )
-    client = WorkloadClient(env, fleet, source, on_complete=on_resolved,
-                            on_exhausted=finish_if_drained)
-
-    def controller():
-        yield warmup_done | env.timeout(max_sim_seconds)
-        collector.arm(env.now)
-        yield measure_done | env.timeout(max_sim_seconds)
-        collector.disarm(env.now)
-        client.stop()
-
-    env.run(until=env.process(controller()))
-
-    if session is not None:
-        session.finalize(env.now)
+    client = run.open_loop_client(
+        fleet, workload, prefix="fleet",
+        default_dataset=reference_dataset("medium"),
+        on_complete=on_resolved, on_exhausted=finish_if_drained,
+    )
+    run.execute(client, max_sim_seconds)
 
     return FleetResult(
         telemetry=session,
         node_count=node_count,
         offered_rate=workload.offered_rate_hint(),
-        metrics=collector.finalize(),
+        metrics=run.finish(),
         dispatched_per_node=list(fleet.balancer.dispatched),
         peak_backlog=fleet.balancer.peak_backlog,
         fault_count=injector.fault_count if injector is not None else 0,

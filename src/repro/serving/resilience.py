@@ -3,7 +3,7 @@
 Production serving is defined by how it behaves when nodes stall or
 crash — the regime the paper's healthy testbed never enters.  This
 module holds the policy objects and the circuit-breaker state machine
-used by :class:`~repro.serving.fleet.LoadBalancer` and the clients:
+used by :class:`~repro.serving.fleet.LoadBalancer`:
 
 - **deadlines**: a request that does not complete within
   ``deadline_seconds`` of dispatch counts as a timeout, not a success,

@@ -11,17 +11,19 @@ breakdowns, and per-image energy.
 
 The run scaffolding every experiment shares — environment/node/collector
 construction, the warm-up/measure completion observer, the controller
-process that snapshots energy and arms the measurement window, and the
-post-run utilization arithmetic — lives in :class:`RunSession`.  A
-session is clock-agnostic: pass ``backend=AsyncioBackend(...)`` to any
-runner and the identical policy stack executes against the wall clock
-(``repro.live`` uses this for trace replay through the live stack).
+process that snapshots energy and arms the measurement window, the
+open-loop client, and the post-run utilization arithmetic — lives in
+:class:`RunSession`; :func:`~repro.serving.fleet.run_fleet_experiment`
+runs on it too.  A session is clock-agnostic: pass
+``backend=AsyncioBackend(...)`` to any runner and the identical policy
+stack executes against the wall clock (``repro.live`` uses this for
+trace replay through the live stack).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.config import ServerConfig
 from ..core.metrics import MetricsCollector, RunMetrics
@@ -35,10 +37,6 @@ from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import Dataset, reference_dataset
 from ..workload import Workload
 from .client import ClosedLoopClient, WorkloadClient
-from .resilience import ResiliencePolicy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..faults import FaultPlan
 
 __all__ = [
     "ExperimentConfig",
@@ -74,11 +72,6 @@ class ExperimentConfig:
     think_jitter_seconds: float = 0.0
     #: Optional callback invoked with every completed request.
     on_complete: Optional[Callable] = None
-    #: Client-side deadlines/retries; ``None`` leaves the submit path
-    #: untouched (fault-free runs are bit-identical).
-    resilience: Optional[ResiliencePolicy] = None
-    #: Fault plan injected into the node; ``None`` injects nothing.
-    faults: Optional["FaultPlan"] = None
     #: Observability: span tracing, metrics registry, SLO tracking.
     #: ``None`` (or ``enabled=False``) records nothing; either way the
     #: simulated results are identical.
@@ -117,8 +110,6 @@ class RunResult:
     energy: Dict[str, DeviceEnergy]
     cpu_utilization: float
     gpu_utilization: float  # mean across GPUs
-    #: Faults injected during the run (0 for fault-free experiments).
-    fault_count: int = 0
     #: The run's :class:`~repro.telemetry.session.TelemetrySession`
     #: (registry + tracer + SLO state), or ``None`` when telemetry was
     #: disabled.  Excluded from equality: two runs are the same run if
@@ -186,13 +177,17 @@ def _closed_loop_dataset(config: ExperimentConfig, default: Dataset) -> Dataset:
 class RunSession:
     """Shared scaffolding for one measured serving run.
 
-    Owns the pieces every runner previously copy-pasted: the execution
-    backend, RNG streams, the :class:`ServerNode`, the metrics
-    collector, the optional telemetry session, the warm-up/measurement
-    completion events, the controller process (energy snapshots +
-    collector arm/disarm + client stop), and the post-run
-    energy/utilization arithmetic.  Construction order matches the
+    Owns the pieces every runner would otherwise copy: the execution
+    backend, RNG streams, the metrics collector, the optional telemetry
+    session, the warm-up/measurement completion events, the controller
+    process (collector arm/disarm + client stop), the open-loop client,
+    and the post-run accounting.  Construction order matches the
     historical runners exactly, so DES runs are bit-identical.
+
+    Given a ``calibration``, the session also deploys the run's one
+    :class:`ServerNode` and meters its energy and utilization over the
+    measurement window.  A fleet run passes none: it builds its own
+    nodes behind a balancer and meters no energy.
 
     The session never inspects the backend's clock: handed a
     :class:`~repro.kernel.AsyncioBackend` it drives the same stack on
@@ -203,8 +198,8 @@ class RunSession:
         self,
         *,
         seed: int,
-        calibration: Calibration,
-        gpu_count: int,
+        calibration: Optional[Calibration] = None,
+        gpu_count: int = 1,
         telemetry: Optional[TelemetryConfig] = None,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
@@ -212,7 +207,10 @@ class RunSession:
             backend if backend is not None else VirtualTimeBackend()
         )
         self.streams = RandomStreams(seed)
-        self.node = ServerNode(self.env, calibration, gpu_count=gpu_count)
+        self.node: Optional[ServerNode] = (
+            ServerNode(self.env, calibration, gpu_count=gpu_count)
+            if calibration is not None else None
+        )
         self.collector = MetricsCollector()
         self.session = _open_session(telemetry, self.env)
         self.warmup_done = self.env.event()
@@ -254,16 +252,43 @@ class RunSession:
         if not self.warmup_done.triggered:
             self.warmup_done.succeed()
 
+    def end_now(self) -> None:
+        """Close warm-up and measurement now (a bounded workload ran dry)."""
+        self.arm_immediately()
+        if not self.measure_done.triggered:
+            self.measure_done.succeed()
+
+    def open_loop_client(self, target, workload: Workload, *, prefix: str,
+                         default_dataset: Dataset, on_complete=None,
+                         on_exhausted=None) -> WorkloadClient:
+        """The :class:`WorkloadClient` driving ``target`` (a server or a
+        fleet) with ``workload``'s arrivals, drawn from streams named
+        after ``prefix``; telemetry gets the offered rate as a gauge."""
+        source = workload.source(self.streams, prefix=prefix,
+                                 default_dataset=default_dataset)
+        if self.session is not None and source.model is not None:
+            model = source.model
+            env = self.env
+            self.session.registry.gauge_fn(
+                "repro_workload_offered_rate",
+                "Instantaneous workload arrival rate (requests/second)",
+                lambda: model.rate_at(env.now),
+            )
+        return WorkloadClient(self.env, target, source, on_complete=on_complete,
+                              on_exhausted=on_exhausted)
+
     # -- the measured run --------------------------------------------------
 
     def _controller(self, max_sim_seconds: float):
-        env = self.env
+        env, node = self.env, self.node
         yield self.warmup_done | env.timeout(max_sim_seconds)
-        self._snapshots["start"] = self.node.energy.snapshot(env.now)
+        if node is not None:
+            self._snapshots["start"] = node.energy.snapshot(env.now)
         self.collector.arm(env.now)
         yield self.measure_done | env.timeout(max_sim_seconds)
         self.collector.disarm(env.now)
-        self._snapshots["end"] = self.node.energy.snapshot(env.now)
+        if node is not None:
+            self._snapshots["end"] = node.energy.snapshot(env.now)
         if self.client is not None:
             self.client.stop()
 
@@ -275,19 +300,17 @@ class RunSession:
 
     # -- post-run accounting -----------------------------------------------
 
-    def finalize_metrics(self, cache=None) -> RunMetrics:
-        """Window metrics, with run-global cache counters in extras."""
+    def finish(self, cache=None) -> RunMetrics:
+        """Window metrics, with run-global cache counters in extras;
+        closes the telemetry session."""
         metrics = self.collector.finalize()
         if cache is not None:
             # Run-global cache counters ride along in extras (window-gated
             # per-tier hit counts live in metrics.cache_hits).
             metrics = replace(metrics, extras={**metrics.extras, **cache.stats_dict()})
+        if self.session is not None:
+            self.session.finalize(self.env.now)
         return metrics
-
-    def energy_window(self) -> Dict[str, DeviceEnergy]:
-        return self.node.energy.energy_between(
-            self._snapshots["start"], self._snapshots["end"]
-        )
 
     def utilization(self, window: float) -> tuple:
         """(cpu_util, mean gpu_util) over the measurement window."""
@@ -305,26 +328,18 @@ class RunSession:
         )
         return cpu_util, gpu_util
 
-    def result(
-        self,
-        config: ExperimentConfig,
-        *,
-        cache=None,
-        fault_count: int = 0,
-    ) -> RunResult:
-        """Assemble the :class:`RunResult` and finalize telemetry."""
-        metrics = self.finalize_metrics(cache)
-        energy = self.energy_window()
+    def result(self, config: ExperimentConfig, *, cache=None) -> RunResult:
+        """Assemble the single-node :class:`RunResult` and finalize
+        telemetry."""
+        metrics = self.finish(cache)
         cpu_util, gpu_util = self.utilization(metrics.window_seconds)
-        if self.session is not None:
-            self.session.finalize(self.env.now)
         return RunResult(
             config=config,
             metrics=metrics,
-            energy=energy,
+            energy=self.node.energy.energy_between(
+                self._snapshots["start"], self._snapshots["end"]),
             cpu_utilization=cpu_util,
             gpu_utilization=gpu_util,
-            fault_count=fault_count,
             telemetry=self.session,
         )
 
@@ -372,26 +387,10 @@ def run_experiment(
         concurrency=config.concurrency,
         streams=run.streams,
         think_jitter_seconds=config.think_jitter_seconds,
-        resilience=config.resilience,
-        metrics=run.collector,
     )
-
-    injector = None
-    if config.faults is not None and config.faults.enabled:
-        from ..faults.injector import FaultInjector
-
-        injector = FaultInjector(env, run.streams, config.faults)
-        injector.attach_node(run.node)
-        injector.start()
-        if run.session is not None:
-            injector.register_metrics(run.session.registry)
 
     run.execute(client, config.max_sim_seconds)
-    return run.result(
-        config,
-        cache=server.cache,
-        fault_count=injector.fault_count if injector is not None else 0,
-    )
+    return run.result(config, cache=server.cache)
 
 
 def run_face_pipeline(
@@ -509,15 +508,9 @@ def run_open_loop(
 
     def finish_if_exhausted(_request=None):
         # A bounded workload (duration or trace end) may run dry before
-        # the completion targets are hit; once every issued request has
-        # completed, waiting out max_sim_seconds would only pad the
-        # measurement window with dead air.
-        if not client.exhausted or run.completed < client.issued:
-            return
-        if not run.warmup_done.triggered:
-            run.warmup_done.succeed()
-        if not run.measure_done.triggered:
-            run.measure_done.succeed()
+        # the completion targets are hit.
+        if client.exhausted and run.completed >= client.issued:
+            run.end_now()
 
     on_complete = run.completion_observer(
         config.warmup_requests,
@@ -530,19 +523,12 @@ def run_open_loop(
     if run.session is not None:
         run.session.attach_server(server)
         run.session.start()
-    default_dataset = (
-        config.dataset if config.dataset is not None else reference_dataset("medium")
+    client = run.open_loop_client(
+        server, resolved, prefix="client",
+        default_dataset=(config.dataset if config.dataset is not None
+                         else reference_dataset("medium")),
+        on_exhausted=finish_if_exhausted,
     )
-    source = resolved.source(run.streams, prefix="client",
-                             default_dataset=default_dataset)
-    if run.session is not None and source.model is not None:
-        model = source.model
-        run.session.registry.gauge_fn(
-            "repro_workload_offered_rate",
-            "Instantaneous workload arrival rate (requests/second)",
-            lambda: model.rate_at(env.now),
-        )
-    client = WorkloadClient(env, server, source, on_exhausted=finish_if_exhausted)
 
     run.execute(client, config.max_sim_seconds)
     return run.result(config, cache=server.cache)

@@ -108,7 +108,7 @@ _json_values = st.recursive(
 )
 _specs = st.fixed_dictionaries({}, optional={
     "size": _json_values | st.sampled_from(["small", "medium", "large", ""]),
-    "key": _json_values,
+    "extra": _json_values,  # unknown fields are ignored
 })
 _bodies = st.one_of(
     st.binary(max_size=64),

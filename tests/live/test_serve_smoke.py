@@ -3,12 +3,15 @@
 Boots the live server as a real subprocess, sends HTTP requests with
 urllib, scrapes ``/metrics`` through the telemetry round-trip parser,
 then delivers SIGINT and asserts a graceful drain and a zero exit —
-the same sequence the CI live-serve smoke job runs.
+the same sequence the CI live-serve smoke job runs.  A second case
+holds a connection that never finishes its request across the SIGINT;
+the server must still exit.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -59,17 +62,21 @@ def _get(port, path, timeout=15):
         f"http://127.0.0.1:{port}{path}", timeout=timeout).read()
 
 
+def _infer(port):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1/infer",
+        data=json.dumps({"size": "small"}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    return json.loads(urllib.request.urlopen(request, timeout=20).read())
+
+
 def test_serve_post_scrape_sigint(serve_proc):
     port = _await_ready(serve_proc)
 
-    # POST a couple of inference requests.
-    for index in range(3):
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/v1/infer",
-            data=json.dumps({"size": "small", "key": index}).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        body = json.loads(urllib.request.urlopen(request, timeout=20).read())
+    # POST a few inference requests.
+    for _ in range(3):
+        body = _infer(port)
         assert body["outcome"] == "ok"
         assert body["latency_seconds"] > 0
 
@@ -87,3 +94,16 @@ def test_serve_post_scrape_sigint(serve_proc):
     assert serve_proc.returncode == 0, out
     assert "draining" in out
     assert "served 3 requests" in out
+
+
+def test_serve_exits_on_sigint_with_an_idle_client(serve_proc):
+    port = _await_ready(serve_proc)
+    assert _infer(port)["outcome"] == "ok"
+    # Half a request head, then silence, with the connection held open.
+    with socket.create_connection(("127.0.0.1", port), timeout=15) as idle:
+        idle.sendall(b"POST /v1/infer HTTP/1.1\r\nHost: x\r\n")
+        time.sleep(0.5)
+        serve_proc.send_signal(signal.SIGINT)
+        out, _ = serve_proc.communicate(timeout=30)
+    assert serve_proc.returncode == 0, out
+    assert "served 1 requests" in out

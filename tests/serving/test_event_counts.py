@@ -9,7 +9,7 @@ these numbers and says so in its description.
 
 import pytest
 
-import repro.serving.fleet as fleet_module
+import repro.serving.runner as runner_module
 from repro.core import ServerConfig
 from repro.serving import ExperimentConfig, run_experiment, run_fleet_experiment
 from repro.sim import Environment
@@ -38,12 +38,12 @@ def test_closed_loop_event_count(device, events):
 def test_fleet_event_count(rate, events, monkeypatch):
     envs = []
 
-    class RecordingBackend(fleet_module.VirtualTimeBackend):
+    class RecordingBackend(runner_module.VirtualTimeBackend):
         def __init__(self):
             super().__init__()
             envs.append(self)
 
-    monkeypatch.setattr(fleet_module, "VirtualTimeBackend", RecordingBackend)
+    monkeypatch.setattr(runner_module, "VirtualTimeBackend", RecordingBackend)
     run_fleet_experiment(
         ServerConfig(), 2, workload=Workload.constant(rate), seed=2,
         warmup_requests=50, measure_requests=200,

@@ -19,7 +19,7 @@ import json
 
 from repro.apps import FacePipelineConfig
 from repro.core import ServerConfig
-from repro.faults import gpu_crash_plan, run_fault_experiment
+from repro.faults import gpu_crash_plan
 from repro.serving import ExperimentConfig, run_face_pipeline, run_open_loop
 from repro.serving.fleet import run_fleet_experiment
 from repro.vision import reference_dataset
@@ -91,7 +91,7 @@ def test_fleet_pin_without_backlog():
 
 
 def test_fault_experiment_pin():
-    result = run_fault_experiment(
+    result = run_fleet_experiment(
         SERVER, faults=gpu_crash_plan(0.02), node_count=2,
         workload=Workload.constant(150.0, dataset=reference_dataset("medium")),
         seed=0, warmup_requests=200, measure_requests=800,
