@@ -12,11 +12,10 @@ sampling expensive.
 import pytest
 
 from repro.analysis import format_table
-from repro.apps import VideoClassificationServer, VideoServerConfig
-from repro.core import MetricsCollector
-from repro.hardware import DEFAULT_CALIBRATION, ServerNode
-from repro.serving.client import ClosedLoopClient
-from repro.sim import Environment, RandomStreams
+from repro.apps import VideoServerConfig
+from repro.hardware import DEFAULT_CALIBRATION
+from repro.serving import ExperimentConfig, run_experiment
+from repro.sim import RandomStreams
 from repro.vision import (
     VideoClipDataset,
     keyframe_sample_indices,
@@ -26,35 +25,14 @@ from repro.vision import (
 
 
 def _run_video(frames_per_clip, concurrency=32, clips=400):
-    env = Environment()
-    node = ServerNode(env)
-    collector = MetricsCollector()
-    done_ev = env.event()
-    state = {"n": 0}
-
-    def on_complete(_request):
-        state["n"] += 1
-        if state["n"] == clips + 60:
-            done_ev.succeed()
-        elif state["n"] == 60:
-            collector.arm(env.now)
-
-    server = VideoClassificationServer(
-        env, node, VideoServerConfig(frames_per_clip=frames_per_clip),
-        metrics=collector, on_complete=on_complete,
-    )
-    client = ClosedLoopClient(
-        env, server, VideoClipDataset(mean_duration_seconds=6.0),
-        concurrency, RandomStreams(0),
-    )
-
-    def ctrl():
-        yield done_ev | env.timeout(300)
-        collector.disarm(env.now)
-        client.stop()
-
-    env.run(until=env.process(ctrl()))
-    return collector.finalize()
+    return run_experiment(ExperimentConfig(
+        server=VideoServerConfig(frames_per_clip=frames_per_clip),
+        dataset=VideoClipDataset(mean_duration_seconds=6.0),
+        concurrency=concurrency,
+        warmup_requests=60,
+        measure_requests=clips,
+        max_sim_seconds=300.0,
+    )).metrics
 
 
 def run_video_study():

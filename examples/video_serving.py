@@ -12,12 +12,11 @@ Run:  python examples/video_serving.py [frames_per_clip]
 
 import sys
 
-from repro.apps import VideoClassificationServer, VideoServerConfig
-from repro.core import MetricsCollector
-from repro.hardware import DEFAULT_CALIBRATION, ServerNode
-from repro.serving.client import ClosedLoopClient
-from repro.sim import Environment, RandomStreams
 from repro.analysis import format_table
+from repro.apps import VideoServerConfig
+from repro.hardware import DEFAULT_CALIBRATION
+from repro.serving import ExperimentConfig, run_experiment
+from repro.sim import RandomStreams
 from repro.vision import (
     VideoClipDataset,
     keyframe_sample_indices,
@@ -27,34 +26,14 @@ from repro.vision import (
 
 
 def serve(frames_per_clip: int):
-    env = Environment()
-    node = ServerNode(env)
-    collector = MetricsCollector()
-    done_ev = env.event()
-    state = {"n": 0}
-
-    def on_complete(_request):
-        state["n"] += 1
-        if state["n"] == 60:
-            collector.arm(env.now)
-        elif state["n"] == 460:
-            done_ev.succeed()
-
-    server = VideoClassificationServer(
-        env, node, VideoServerConfig(frames_per_clip=frames_per_clip),
-        metrics=collector, on_complete=on_complete,
-    )
-    client = ClosedLoopClient(
-        env, server, VideoClipDataset(mean_duration_seconds=6.0), 32, RandomStreams(0)
-    )
-
-    def ctrl():
-        yield done_ev | env.timeout(300)
-        collector.disarm(env.now)
-        client.stop()
-
-    env.run(until=env.process(ctrl()))
-    return collector.finalize()
+    return run_experiment(ExperimentConfig(
+        server=VideoServerConfig(frames_per_clip=frames_per_clip),
+        dataset=VideoClipDataset(mean_duration_seconds=6.0),
+        concurrency=32,
+        warmup_requests=60,
+        measure_requests=400,
+        max_sim_seconds=300.0,
+    )).metrics
 
 
 def main() -> None:

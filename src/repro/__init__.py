@@ -34,7 +34,6 @@ from .apps import (
     NaiveLoopConfig,
     run_naive_loop,
     serve_classification,
-    stage_throughputs,
     zero_load_breakdown,
 )
 from .core import (
@@ -175,7 +174,6 @@ __all__ = [
     "run_face_pipeline",
     "run_naive_loop",
     "serve_classification",
-    "stage_throughputs",
     "tune_server",
     "zero_load_breakdown",
     "__version__",

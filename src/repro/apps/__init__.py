@@ -1,6 +1,6 @@
 """Application pipelines: classification serving, naive loop, face pipeline."""
 
-from .classification import serve_classification, stage_throughputs, zero_load_breakdown
+from .classification import serve_classification, zero_load_breakdown
 from .face_pipeline import SPAN_BROKER, SPAN_IDENTIFY, FacePipeline, FacePipelineConfig
 from .naive_loop import NaiveLoopConfig, NaiveLoopResult, run_naive_loop
 from .video_classification import VideoClassificationServer, VideoServerConfig
@@ -16,6 +16,5 @@ __all__ = [
     "VideoServerConfig",
     "run_naive_loop",
     "serve_classification",
-    "stage_throughputs",
     "zero_load_breakdown",
 ]

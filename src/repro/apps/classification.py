@@ -8,14 +8,14 @@ concurrency with one of the reference image sizes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..core.config import MODE_END_TO_END, ServerConfig
+from ..core.config import ServerConfig
 from ..serving.runner import ExperimentConfig, RunResult, run_experiment
 from ..telemetry import TelemetryConfig
 from ..vision.datasets import Dataset, reference_dataset
 
-__all__ = ["serve_classification", "zero_load_breakdown", "stage_throughputs"]
+__all__ = ["serve_classification", "zero_load_breakdown"]
 
 
 def serve_classification(
@@ -74,24 +74,3 @@ def zero_load_breakdown(
         seed=seed,
     )
     return run_experiment(config)
-
-
-def stage_throughputs(
-    model: str,
-    image_size: str,
-    concurrency: int = 512,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Fig. 7 stage isolation: end-to-end vs preprocess vs inference."""
-    out: Dict[str, float] = {}
-    for mode in (MODE_END_TO_END, "preprocess_only", "inference_only"):
-        result = serve_classification(
-            model=model,
-            preprocess_device="gpu",
-            image_size=image_size,
-            concurrency=concurrency,
-            seed=seed,
-            mode=mode,
-        )
-        out[mode] = result.throughput
-    return out

@@ -33,8 +33,8 @@ from .analysis.breakdown import breakdown_from_metrics
 from .apps import FacePipelineConfig, serve_classification, zero_load_breakdown
 from .core.config import ServerConfig
 from .models.zoo import MODEL_ZOO
-from .serving import plan_capacity, run_face_pipeline
-from .serving.runner import ExperimentConfig, run_experiment
+from .serving import plan_capacity
+from .serving.runner import FACE_THINK_JITTER_SECONDS, ExperimentConfig, run_experiment
 from .vision.datasets import reference_dataset
 from .workload import DAY_SECONDS
 
@@ -198,7 +198,6 @@ def _cmd_serve_live(args) -> int:
             runtime=args.runtime,
         ),
         gpu_count=args.gpus,
-        seed=args.seed,
         time_scale=args.time_scale,
         grace_seconds=args.grace_seconds,
         telemetry=telemetry,
@@ -253,19 +252,22 @@ def _cmd_serve_replay(args) -> int:
     from .live import replay_trace
 
     try:
-        report = replay_trace(
-            args.replay,
-            model=args.model,
-            preprocess_device=args.preprocess_device,
-            size=args.size,
+        config = ExperimentConfig(
+            server=ServerConfig(
+                model=args.model,
+                preprocess_device=args.preprocess_device,
+                runtime=args.runtime,
+                preprocess_batch_size=64,
+            ),
+            dataset=reference_dataset(args.size),
             gpu_count=args.gpus,
             seed=args.seed,
             warmup_requests=args.warmup,
             measure_requests=args.requests,
             max_sim_seconds=args.max_seconds,
-            time_scale=args.time_scale,
-            fast_forward=args.fast_forward,
         )
+        report = replay_trace(args.replay, config, time_scale=args.time_scale,
+                              fast_forward=args.fast_forward)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -530,7 +532,7 @@ def cmd_cache(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    from .parallel import FacePipelinePoint, run_face_pipeline_point
+    from .parallel import ExperimentPoint, run_experiment_point
 
     try:
         workload = _workload_from_args(args)
@@ -540,19 +542,22 @@ def cmd_faces(args) -> int:
     face_counts = _int_list(args.faces)
     brokers = _str_list(args.brokers)
     points = [
-        FacePipelinePoint(
-            pipeline=FacePipelineConfig(broker=broker, faces_per_frame=faces),
-            concurrency=args.concurrency,
-            warmup_requests=120,
-            measure_requests=args.frames,
-            seed=args.seed,
-            workload=workload,
+        ExperimentPoint(
+            config=ExperimentConfig(
+                server=FacePipelineConfig(broker=broker, faces_per_frame=faces),
+                workload=workload,  # closed loop: the frame mix only
+                concurrency=args.concurrency,
+                warmup_requests=120,
+                measure_requests=args.frames,
+                seed=args.seed,
+                think_jitter_seconds=FACE_THINK_JITTER_SECONDS,
+            ),
             tags=(("broker", broker), ("faces", faces)),
         )
         for faces in face_counts
         for broker in brokers
     ]
-    rows = _run_points(run_face_pipeline_point, points, args.workers)
+    rows = _run_points(run_experiment_point, points, args.workers)
     for faces in face_counts:
         chart = {row["broker"]: row["throughput"]
                  for row in rows if row["faces"] == faces}
@@ -681,33 +686,25 @@ def cmd_telemetry(args) -> int:
         # counter track loses its start.
         history_points=int(600.0 / interval) + 2,
     )
-    if args.scenario == "faces":
-        result = run_face_pipeline(
-            FacePipelineConfig(),
+    faces = args.scenario == "faces"
+    result = run_experiment(
+        ExperimentConfig(
+            server=FacePipelineConfig() if faces else ServerConfig(
+                model=args.model,
+                preprocess_device=args.preprocess_device,
+                preprocess_batch_size=64,
+            ),
+            dataset=None if faces else reference_dataset(args.size),
             concurrency=args.concurrency,
             warmup_requests=args.warmup,
             measure_requests=args.requests,
             seed=args.seed,
+            think_jitter_seconds=FACE_THINK_JITTER_SECONDS if faces else 0.0,
             telemetry=telemetry,
         )
-        title = "face pipeline"
-    else:
-        result = run_experiment(
-            ExperimentConfig(
-                server=ServerConfig(
-                    model=args.model,
-                    preprocess_device=args.preprocess_device,
-                    preprocess_batch_size=64,
-                ),
-                dataset=reference_dataset(args.size),
-                concurrency=args.concurrency,
-                warmup_requests=args.warmup,
-                measure_requests=args.requests,
-                seed=args.seed,
-                telemetry=telemetry,
-            )
-        )
-        title = f"{args.model} ({args.preprocess_device} preprocessing)"
+    )
+    title = ("face pipeline" if faces
+             else f"{args.model} ({args.preprocess_device} preprocessing)")
     session = result.telemetry
     report = session.slo_report()
     tracer = session.tracer
@@ -1005,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--gpus", type=int, default=1)
     serve.add_argument("--runtime", default="tensorrt",
                        choices=["tensorrt", "onnxruntime", "pytorch"])
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=int, default=0,
+                       help="replay: seed of both replayed runs")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="HTTP port (0 picks a free port)")

@@ -12,7 +12,8 @@ goodput/p99 degradation against the fault-free baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..core.config import ServerConfig
 from ..serving.fleet import FleetResult, run_fleet_experiment
@@ -53,6 +54,11 @@ class FaultSweepPoint:
         return self.result.metrics.timeout_count
 
 
+def _call(run: Callable[[], FleetResult]) -> FleetResult:
+    """Sweep task: execute one bound fleet run."""
+    return run()
+
+
 def sweep_fault_rates(
     server_config: ServerConfig,
     downtime_fractions: Sequence[float] = (0.005, 0.01, 0.02, 0.05),
@@ -71,30 +77,22 @@ def sweep_fault_rates(
     them across CPU cores via :func:`repro.parallel.run_sweep` with
     bit-identical results.
     """
+    # Imported here: keeps the process-pool machinery out of `import repro`.
+    from ..parallel import ParallelConfig, run_sweep
+
     if resilience is None:
         resilience = ResiliencePolicy()
     plans = [
         gpu_crash_plan(fraction, restart_seconds=restart_seconds)
         for fraction in downtime_fractions
     ]
-    if workers is not None and workers > 1:
-        from ..parallel import FleetPoint, ParallelConfig, run_fleet_result_point, run_sweep
-
-        sweep = [
-            FleetPoint(server=server_config, node_count=node_count,
-                       faults=faults, resilience=resilience, **run_kwargs)
-            for faults in [None, *plans]
-        ]
-        report = run_sweep(
-            run_fleet_result_point, sweep, ParallelConfig(workers=workers)
-        )
-        baseline, *results = report.values
-    else:
-        baseline, *results = [
-            run_fleet_experiment(server_config, node_count, faults=faults,
-                                 resilience=resilience, **run_kwargs)
-            for faults in [None, *plans]
-        ]
+    runs = [
+        partial(run_fleet_experiment, server_config, node_count, faults=faults,
+                resilience=resilience, **run_kwargs)
+        for faults in [None, *plans]
+    ]
+    report = run_sweep(_call, runs, ParallelConfig(workers=max(workers or 1, 1)))
+    baseline, *results = report.values
     return [
         FaultSweepPoint(downtime_fraction=fraction, result=result, baseline=baseline)
         for fraction, result in zip(downtime_fractions, results)

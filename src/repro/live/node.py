@@ -31,7 +31,7 @@ from ..core.metrics import MetricsCollector, RunMetrics
 from ..core.server import InferenceServer
 from ..hardware.calibration import DEFAULT_CALIBRATION, Calibration
 from ..hardware.platform import ServerNode
-from ..kernel import AsyncioBackend, RandomStreams
+from ..kernel import AsyncioBackend
 from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import reference_dataset
 
@@ -51,7 +51,6 @@ class LiveNodeConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     calibration: Calibration = DEFAULT_CALIBRATION
     gpu_count: int = 1
-    seed: int = 0
     #: Simulated seconds per wall second.  ``1.0`` serves in real time;
     #: larger values compress time (useful for accelerated soak tests).
     time_scale: float = 1.0
@@ -78,7 +77,6 @@ class LiveNode:
         self.env: AsyncioBackend = (
             backend if backend is not None else AsyncioBackend(time_scale=config.time_scale)
         )
-        self.streams = RandomStreams(config.seed)
         self.node = ServerNode(self.env, config.calibration, gpu_count=config.gpu_count)
         self.collector = MetricsCollector()
         self.session = TelemetrySession(config.telemetry, env=self.env)

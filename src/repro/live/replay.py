@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.config import ServerConfig
 from ..kernel import AsyncioBackend
 from ..serving.runner import ExperimentConfig, RunResult, run_open_loop
-from ..vision.datasets import reference_dataset
 from ..workload import Workload
 
 __all__ = ["ReplayReport", "replay_trace"]
@@ -109,46 +107,22 @@ class ReplayReport:
 
 def replay_trace(
     trace: str,
+    config: ExperimentConfig,
     *,
-    model: str = "resnet-50",
-    preprocess_device: str = "gpu",
-    size: str = "medium",
-    gpu_count: int = 1,
-    seed: int = 0,
-    warmup_requests: int = 0,
-    measure_requests: int = 500,
-    max_sim_seconds: float = 600.0,
     time_scale: float = 60.0,
     fast_forward: bool = False,
-    server: Optional[ServerConfig] = None,
-    telemetry=None,
 ) -> ReplayReport:
-    """Replay ``trace`` under both clocks and report the comparison.
+    """Replay ``trace`` through ``config``'s deployment under both clocks
+    and report the comparison.
 
     ``time_scale`` compresses the live run (60 = one recorded minute
     per wall second); ``fast_forward`` removes sleeping entirely, which
     turns the live run into a strict parity check of the asyncio
-    dispatch path.  ``server`` overrides the full deployment config
-    (``model``/``preprocess_device`` are ignored when it is given).
-    ``telemetry`` (a :class:`~repro.telemetry.TelemetryConfig`) attaches
-    the identical observability stack — scraper, tracer, SLO — to both
-    runs; being observer-neutral it never perturbs the parity.
+    dispatch path.  ``config.telemetry`` attaches the identical
+    observability stack — scraper, tracer, SLO — to both runs; being
+    observer-neutral it never perturbs the parity.
     """
     workload = Workload.replay(trace)
-    config = ExperimentConfig(
-        server=server if server is not None else ServerConfig(
-            model=model,
-            preprocess_device=preprocess_device,
-            preprocess_batch_size=64,
-        ),
-        dataset=reference_dataset(size),
-        gpu_count=gpu_count,
-        seed=seed,
-        warmup_requests=warmup_requests,
-        measure_requests=measure_requests,
-        max_sim_seconds=max_sim_seconds,
-        telemetry=telemetry,
-    )
     sim = run_open_loop(config, workload=workload)
     live = run_open_loop(
         config,

@@ -4,8 +4,7 @@ Public surface::
 
     from repro.parallel import (
         ParallelConfig, run_sweep, derive_seed,
-        ExperimentPoint, FacePipelinePoint, FleetPoint,
-        run_experiment_point, run_face_pipeline_point, run_fleet_point,
+        ExperimentPoint, run_experiment_point,
     )
 
     points = [ExperimentPoint(config=replace(cfg, concurrency=c),
@@ -29,15 +28,7 @@ from .executor import (
     derive_seed,
     run_sweep,
 )
-from .tasks import (
-    ExperimentPoint,
-    FacePipelinePoint,
-    FleetPoint,
-    run_experiment_point,
-    run_face_pipeline_point,
-    run_fleet_point,
-    run_fleet_result_point,
-)
+from .tasks import ExperimentPoint, run_experiment_point
 
 __all__ = [
     "HEAVY_MODULES",
@@ -48,10 +39,5 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "ExperimentPoint",
-    "FacePipelinePoint",
-    "FleetPoint",
     "run_experiment_point",
-    "run_face_pipeline_point",
-    "run_fleet_point",
-    "run_fleet_result_point",
 ]

@@ -1,12 +1,17 @@
 """Experiment runner: build platform + server + clients, run, collect.
 
 Every experiment in the paper reduces to: construct a
-:class:`~repro.hardware.platform.ServerNode`, deploy an
-:class:`~repro.core.server.InferenceServer` with some
-:class:`~repro.core.config.ServerConfig`, drive it closed-loop at some
-concurrency with some image dataset, discard a warm-up prefix, and
-measure a window.  :func:`run_experiment` does exactly that and returns
-a :class:`RunResult` with throughput, latency statistics, per-span
+:class:`~repro.hardware.platform.ServerNode`, deploy a server on it,
+drive it closed-loop at some concurrency with some dataset, discard a
+warm-up prefix, and measure a window.  The deployment is whatever
+:attr:`ExperimentConfig.server` names: an
+:class:`~repro.core.server.InferenceServer` for a
+:class:`~repro.core.config.ServerConfig`, the two-stage face pipeline
+for a :class:`~repro.apps.face_pipeline.FacePipelineConfig`, or video
+classification for a
+:class:`~repro.apps.video_classification.VideoServerConfig`.
+:func:`run_experiment` does exactly that and returns a
+:class:`RunResult` with throughput, latency statistics, per-span
 breakdowns, and per-image energy.
 
 The run scaffolding every experiment shares — environment/node/collector
@@ -23,7 +28,7 @@ trace replay through the live stack).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from ..core.config import ServerConfig
 from ..core.metrics import MetricsCollector, RunMetrics
@@ -37,6 +42,10 @@ from ..telemetry import TelemetryConfig, TelemetrySession
 from ..vision.datasets import Dataset, reference_dataset
 from ..workload import Workload
 from .client import ClosedLoopClient, WorkloadClient
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from ..apps.face_pipeline import FacePipelineConfig
+    from ..apps.video_classification import VideoServerConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -52,8 +61,13 @@ __all__ = [
 class ExperimentConfig:
     """One serving experiment: platform, deployment, and load."""
 
-    server: ServerConfig = field(default_factory=ServerConfig)
-    dataset: Optional[Dataset] = None  # defaults to the medium reference image
+    #: The deployment: single-model classification, the two-stage face
+    #: pipeline, or video classification (closed-loop, no telemetry).
+    server: Union[ServerConfig, FacePipelineConfig, VideoServerConfig] = field(
+        default_factory=ServerConfig)
+    #: Defaults to the medium reference image (video frames for the
+    #: face pipeline, video clips for video classification).
+    dataset: Optional[Dataset] = None
     #: Unified traffic spec (:class:`repro.workload.Workload`).  Its
     #: dataset takes precedence over ``dataset``; open-loop runners
     #: additionally draw arrival timing from it (closed-loop load is set
@@ -164,14 +178,6 @@ def _open_session(
     if telemetry is None or not telemetry.enabled:
         return None
     return TelemetrySession(telemetry, env=env)
-
-
-def _closed_loop_dataset(config: ExperimentConfig, default: Dataset) -> Dataset:
-    """Dataset for a closed-loop run: workload > config.dataset > default."""
-    if config.workload is not None:
-        return config.workload.resolved_dataset(
-            config.dataset if config.dataset is not None else default)
-    return config.dataset if config.dataset is not None else default
 
 
 class RunSession:
@@ -344,6 +350,34 @@ class RunSession:
         )
 
 
+def _deploy(run: RunSession, config: ExperimentConfig, on_complete: Callable):
+    """Deploy the server ``config.server`` names on the run's node and
+    attach telemetry; return it with the dataset its clients draw from
+    (``config.dataset``, or the deployment's default)."""
+    spec = config.server
+    if isinstance(spec, ServerConfig):
+        server = InferenceServer(
+            run.env, run.node, spec, metrics=run.collector, on_complete=on_complete)
+        default = reference_dataset("medium")
+    else:
+        # Imported here: repro.apps imports repro.serving.
+        from ..apps import FacePipeline, FacePipelineConfig, VideoClassificationServer
+        from ..vision import VideoClipDataset, VideoFrameDataset
+
+        if isinstance(spec, FacePipelineConfig):
+            server = FacePipeline(run.env, run.node, spec, run.streams,
+                                  metrics=run.collector, on_complete=on_complete)
+            default = VideoFrameDataset()
+        else:
+            server = VideoClassificationServer(
+                run.env, run.node, spec, metrics=run.collector, on_complete=on_complete)
+            default = VideoClipDataset()
+    if run.session is not None:
+        run.session.attach_server(server)
+        run.session.start()
+    return server, config.dataset if config.dataset is not None else default
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -366,22 +400,16 @@ def run_experiment(
         telemetry=config.telemetry,
         backend=backend,
     )
-    env = run.env
-
     on_complete = run.completion_observer(
         config.warmup_requests,
         config.warmup_requests + config.measure_requests,
         after=config.on_complete,
     )
-    server = InferenceServer(
-        env, run.node, config.server, metrics=run.collector, on_complete=on_complete
-    )
-    if run.session is not None:
-        run.session.attach_server(server)
-        run.session.start()
-    dataset = _closed_loop_dataset(config, reference_dataset("medium"))
+    server, dataset = _deploy(run, config, on_complete)
+    if config.workload is not None:
+        dataset = config.workload.resolved_dataset(dataset)
     client = ClosedLoopClient(
-        env,
+        run.env,
         server,
         dataset,
         concurrency=config.concurrency,
@@ -390,7 +418,11 @@ def run_experiment(
     )
 
     run.execute(client, config.max_sim_seconds)
-    return run.result(config, cache=server.cache)
+    return run.result(config, cache=getattr(server, "cache", None))
+
+
+#: Client think-time jitter of the face pipeline's closed-loop runs.
+FACE_THINK_JITTER_SECONDS = 2e-3
 
 
 def run_face_pipeline(
@@ -402,60 +434,22 @@ def run_face_pipeline(
     warmup_requests: int = 150,
     measure_requests: int = 1200,
     max_sim_seconds: float = 600.0,
-    think_jitter_seconds: float = 2e-3,
+    think_jitter_seconds: float = FACE_THINK_JITTER_SECONDS,
     telemetry: Optional[TelemetryConfig] = None,
     *,
     workload: Optional[Workload] = None,
     backend: Optional[ExecutionBackend] = None,
 ) -> RunResult:
-    """Simulate the multi-DNN face pipeline (paper Sec. 4.7 / Fig. 11).
-
-    Same measurement protocol as :func:`run_experiment`, but the server
-    is a :class:`~repro.apps.face_pipeline.FacePipeline` fed with video
-    frames instead of a single-model classification deployment.
+    """Simulate the multi-DNN face pipeline (paper Sec. 4.7 / Fig. 11):
+    :func:`run_experiment` with ``pipeline_config`` (a
+    :class:`~repro.apps.face_pipeline.FacePipelineConfig`) as the
+    deployment.
 
     Frames come from ``workload`` (its dataset component; closed-loop
     load is set by ``concurrency``), or video frames without one.
     """
-    # Imported here to avoid a circular import (apps imports serving).
-    from ..apps.face_pipeline import FacePipeline
-    from ..vision.datasets import VideoFrameDataset
-
-    run = RunSession(
-        seed=seed,
-        calibration=calibration,
-        gpu_count=gpu_count,
-        telemetry=telemetry,
-        backend=backend,
-    )
-    env = run.env
-
-    on_complete = run.completion_observer(
-        warmup_requests, warmup_requests + measure_requests
-    )
-    pipeline = FacePipeline(
-        env, run.node, pipeline_config, run.streams,
-        metrics=run.collector, on_complete=on_complete,
-    )
-    if run.session is not None:
-        run.session.attach_server(pipeline)
-        run.session.start()
-    if workload is not None:
-        dataset = workload.resolved_dataset(VideoFrameDataset())
-    else:
-        dataset = VideoFrameDataset()
-    client = ClosedLoopClient(
-        env,
-        pipeline,
-        dataset,
-        concurrency=concurrency,
-        streams=run.streams,
-        think_jitter_seconds=think_jitter_seconds,
-    )
-
-    run.execute(client, max_sim_seconds)
-
-    experiment = ExperimentConfig(
+    config = ExperimentConfig(
+        server=pipeline_config,
         workload=workload,
         concurrency=concurrency,
         gpu_count=gpu_count,
@@ -465,8 +459,9 @@ def run_face_pipeline(
         measure_requests=measure_requests,
         max_sim_seconds=max_sim_seconds,
         think_jitter_seconds=think_jitter_seconds,
+        telemetry=telemetry,
     )
-    return run.result(experiment)
+    return run_experiment(config, backend=backend)
 
 
 def run_open_loop(
@@ -501,7 +496,6 @@ def run_open_loop(
         telemetry=config.telemetry,
         backend=backend,
     )
-    env = run.env
 
     if config.warmup_requests == 0:
         run.arm_immediately()  # measurement window arms at t=0
@@ -517,18 +511,11 @@ def run_open_loop(
         config.warmup_requests + config.measure_requests,
         after=finish_if_exhausted,
     )
-    server = InferenceServer(
-        env, run.node, config.server, metrics=run.collector, on_complete=on_complete
-    )
-    if run.session is not None:
-        run.session.attach_server(server)
-        run.session.start()
+    server, dataset = _deploy(run, config, on_complete)
     client = run.open_loop_client(
-        server, resolved, prefix="client",
-        default_dataset=(config.dataset if config.dataset is not None
-                         else reference_dataset("medium")),
+        server, resolved, prefix="client", default_dataset=dataset,
         on_exhausted=finish_if_exhausted,
     )
 
     run.execute(client, config.max_sim_seconds)
-    return run.result(config, cache=server.cache)
+    return run.result(config, cache=getattr(server, "cache", None))

@@ -1,7 +1,8 @@
 """The unified ``Workload`` spec: one object describing request traffic.
 
 Every runner entry point (``run_experiment``, ``run_open_loop``,
-``run_face_pipeline``, ``run_fleet_experiment``) accepts a
+``run_fleet_experiment``, and ``run_face_pipeline``, which builds an
+``ExperimentConfig`` for ``run_experiment``) accepts a
 :class:`Workload` instead of scattered ``rate=``/``duration=``/dataset
 kwargs.  A workload bundles:
 
@@ -17,9 +18,9 @@ kwargs.  A workload bundles:
   unbounded: the run's completion targets stop it);
 - **trace_path** — a recorded trace to replay instead of synthesizing.
 
-Closed-loop runners (``run_experiment``, ``run_face_pipeline``) use
-the dataset/popularity component — concurrency, not an arrival
-process, sets their load.  Open-loop runners (``run_open_loop``,
+The closed-loop runner (``run_experiment``, for any deployment its
+config names) uses the dataset/popularity component — concurrency, not
+an arrival process, sets its load.  Open-loop runners (``run_open_loop``,
 ``run_fleet_experiment``) draw full arrival timing from the workload.
 
 ``Workload.constant(rate)`` resolves to a

@@ -5,6 +5,7 @@ import pytest
 from repro.apps import VideoClassificationServer, VideoServerConfig
 from repro.core import MetricsCollector
 from repro.hardware import ServerNode
+from repro.serving import ExperimentConfig, run_experiment
 from repro.serving.client import ClosedLoopClient
 from repro.sim import Environment, RandomStreams
 from repro.vision import VideoClipDataset
@@ -91,3 +92,51 @@ class TestThroughput:
         assert metrics.throughput > 10  # clips/s
         # Frames batch (within and across clips) on the GPU.
         assert metrics.mean_batch_size > 2
+
+
+def _hand_written_protocol(frames_per_clip, clips=120):
+    """The closed-loop video run spelled out: 32 clients, 60 warm-up
+    clips, then ``clips`` measured, capped at 300 simulated seconds."""
+    env = Environment()
+    node = ServerNode(env)
+    collector = MetricsCollector()
+    done_ev = env.event()
+    state = {"n": 0}
+
+    def on_complete(_request):
+        state["n"] += 1
+        if state["n"] == clips + 60:
+            done_ev.succeed()
+        elif state["n"] == 60:
+            collector.arm(env.now)
+
+    server = VideoClassificationServer(
+        env, node, VideoServerConfig(frames_per_clip=frames_per_clip),
+        metrics=collector, on_complete=on_complete,
+    )
+    client = ClosedLoopClient(
+        env, server, VideoClipDataset(mean_duration_seconds=6.0), 32, RandomStreams(0)
+    )
+
+    def ctrl():
+        yield done_ev | env.timeout(300)
+        collector.disarm(env.now)
+        client.stop()
+
+    env.run(until=env.process(ctrl()))
+    return collector.finalize()
+
+
+class TestRunExperiment:
+    @pytest.mark.parametrize("frames", [4, 8, 16])
+    def test_matches_the_hand_written_protocol(self, frames):
+        result = run_experiment(ExperimentConfig(
+            server=VideoServerConfig(frames_per_clip=frames),
+            dataset=VideoClipDataset(mean_duration_seconds=6.0),
+            concurrency=32,
+            warmup_requests=60,
+            measure_requests=120,
+            max_sim_seconds=300.0,
+        ))
+        assert result.metrics.completed == 120
+        assert result.metrics == _hand_written_protocol(frames)

@@ -19,7 +19,7 @@ from repro.core.config import ServerConfig
 from repro.kernel import AsyncioBackend
 from repro.live import replay_trace
 from repro.serving.runner import ExperimentConfig, run_experiment, run_open_loop
-from repro.vision import ImageNetLikeDataset, ZipfDataset
+from repro.vision import ImageNetLikeDataset, ZipfDataset, reference_dataset
 from repro.workload import Workload
 
 GOLDEN_TRACE = "tests/workload/golden/day.jsonl.gz"
@@ -41,15 +41,25 @@ def _config(on_complete=None, cache=None, measure=200, dataset=None):
     )
 
 
+def _replay_config(measure, max_sim_seconds):
+    """The deployment `repro serve --replay --model tinyvit-5m` replays."""
+    return ExperimentConfig(
+        server=ServerConfig(model="tinyvit-5m", preprocess_device="gpu",
+                            preprocess_batch_size=64),
+        dataset=reference_dataset("medium"),
+        warmup_requests=0,
+        measure_requests=measure,
+        max_sim_seconds=max_sim_seconds,
+    )
+
+
 class TestGoldenTraceParity:
     """The pinned 24h trace through both clocks (time-compressed)."""
 
     def test_fast_forward_replay_is_exact(self):
         report = replay_trace(
             GOLDEN_TRACE,
-            model="tinyvit-5m",
-            measure_requests=60,
-            max_sim_seconds=12000.0,
+            _replay_config(measure=60, max_sim_seconds=12000.0),
             fast_forward=True,
         )
         assert report.exact_parity_expected
@@ -67,9 +77,7 @@ class TestGoldenTraceParity:
         unrecognizably."""
         report = replay_trace(
             GOLDEN_TRACE,
-            model="tinyvit-5m",
-            measure_requests=25,
-            max_sim_seconds=5000.0,
+            _replay_config(measure=25, max_sim_seconds=5000.0),
             time_scale=2000.0,
         )
         sim, live = report.sim.metrics, report.live.metrics

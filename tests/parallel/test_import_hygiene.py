@@ -19,7 +19,7 @@ CHECK_SNIPPET = """
 import sys
 import repro.parallel            # executor + tasks: the worker surface
 import repro.serving.runner      # what run_experiment_point executes
-import repro.faults.experiment   # what run_fleet_result_point executes
+import repro.faults.experiment   # what a fault-sweep worker executes
 heavy = [name for name in {heavy!r} if name in sys.modules]
 assert not heavy, f"worker surface imported heavy modules: {{heavy}}"
 print("clean")

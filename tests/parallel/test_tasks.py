@@ -4,15 +4,8 @@ import pickle
 
 from repro.apps import FacePipelineConfig
 from repro.core.config import ServerConfig
-from repro.parallel import (
-    ExperimentPoint,
-    FacePipelinePoint,
-    FleetPoint,
-    run_experiment_point,
-    run_fleet_point,
-)
+from repro.parallel import ExperimentPoint, run_experiment_point
 from repro.serving.runner import ExperimentConfig
-from repro.workload import Workload
 
 
 def _small_point(**tags):
@@ -42,26 +35,12 @@ class TestPointSpecs:
         assert "throughput" in row
 
     def test_face_point_is_picklable(self):
-        point = FacePipelinePoint(
-            pipeline=FacePipelineConfig(broker="redis", faces_per_frame=4),
-            measure_requests=50,
-            warmup_requests=10,
+        point = ExperimentPoint(
+            config=ExperimentConfig(
+                server=FacePipelineConfig(broker="redis", faces_per_frame=4),
+                measure_requests=50,
+                warmup_requests=10,
+            ),
             tags=(("broker", "redis"),),
         )
         assert pickle.loads(pickle.dumps(point)) == point
-
-    def test_fleet_point_row(self):
-        point = FleetPoint(
-            server=ServerConfig(preprocess_batch_size=8),
-            node_count=1,
-            workload=Workload.constant(80.0),
-            warmup_requests=20,
-            measure_requests=100,
-            max_sim_seconds=30.0,
-            tags=(("nodes", 1),),
-        )
-        restored = pickle.loads(pickle.dumps(point))
-        assert restored == point
-        row = run_fleet_point(restored)
-        assert row["nodes"] == 1
-        assert row["completed"] > 0

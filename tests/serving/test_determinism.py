@@ -14,20 +14,21 @@ import json
 
 from repro.apps import FacePipelineConfig
 from repro.core.config import ServerConfig
+from repro.faults import sweep_fault_rates
 from repro.parallel import (
     ExperimentPoint,
-    FacePipelinePoint,
     ParallelConfig,
     run_experiment_point,
-    run_face_pipeline_point,
     run_sweep,
 )
 from repro.serving.runner import (
+    FACE_THINK_JITTER_SECONDS,
     ExperimentConfig,
     run_experiment,
     run_face_pipeline,
     run_open_loop,
 )
+from repro.vision import reference_dataset
 from repro.workload import Workload
 
 
@@ -96,21 +97,44 @@ class TestSerialParallelIdentity:
 
     def test_face_pipeline_points(self):
         points = [
-            FacePipelinePoint(
-                pipeline=FacePipelineConfig(broker=broker),
+            ExperimentPoint(config=ExperimentConfig(
+                server=FacePipelineConfig(broker=broker),
                 concurrency=16,
                 warmup_requests=20,
                 measure_requests=60,
                 seed=1,
-            )
+                think_jitter_seconds=FACE_THINK_JITTER_SECONDS,
+            ))
             for broker in ("fused", "redis")
         ]
         serial = run_sweep(
-            run_face_pipeline_point, points, ParallelConfig(serial=True)
+            run_experiment_point, points, ParallelConfig(serial=True)
         )
         pooled = run_sweep(
-            run_face_pipeline_point, points, ParallelConfig(workers=2)
+            run_experiment_point, points, ParallelConfig(workers=2)
         )
         assert [_canonical(row) for row in serial.values] == [
             _canonical(row) for row in pooled.values
         ]
+
+    def test_fault_sweep_points(self):
+        """Bound fleet runs cross the process boundary and come back as
+        the full results the serial sweep computes."""
+
+        def sweep(workers):
+            return sweep_fault_rates(
+                ServerConfig(preprocess_batch_size=8),
+                downtime_fractions=(0.2,),
+                restart_seconds=0.1,
+                workers=workers,
+                node_count=2,
+                workload=Workload.constant(150, dataset=reference_dataset("medium")),
+                warmup_requests=50,
+                measure_requests=300,
+                max_sim_seconds=20.0,
+                seed=1,
+            )
+
+        serial = sweep(None)
+        assert serial[0].result.fault_count > 0
+        assert sweep(2) == serial

@@ -21,6 +21,7 @@ from repro.telemetry import AlertRule, SloConfig, TelemetryConfig
 from repro.telemetry.scraper import MetricsScraper
 from repro.telemetry.registry import MetricsRegistry
 from repro.sim import Environment
+from repro.vision import reference_dataset
 from repro.workload import Workload
 
 GOLDEN_TRACE = str(
@@ -45,6 +46,20 @@ def _config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def _replay_config(telemetry=None):
+    """The deployment `repro serve --replay --model tinyvit-5m
+    --requests 60 --max-seconds 12000` replays."""
+    return ExperimentConfig(
+        server=ServerConfig(model="tinyvit-5m", preprocess_device="gpu",
+                            preprocess_batch_size=64),
+        dataset=reference_dataset("medium"),
+        warmup_requests=0,
+        measure_requests=60,
+        max_sim_seconds=12000.0,
+        telemetry=telemetry,
+    )
 
 
 class TestScraperUnit:
@@ -155,11 +170,8 @@ class TestGoldenTraceScrape:
     def test_golden_replay_with_telemetry_keeps_exact_parity(self):
         report = replay_trace(
             GOLDEN_TRACE,
-            model="tinyvit-5m",
-            measure_requests=60,
-            max_sim_seconds=12000.0,
+            _replay_config(SCRAPED.with_overrides(scrape_interval_seconds=60.0)),
             fast_forward=True,
-            telemetry=SCRAPED.with_overrides(scrape_interval_seconds=60.0),
         )
         sim, live = report.sim, report.live
         assert sim.metrics == live.metrics
@@ -191,13 +203,11 @@ class TestGoldenTraceScrape:
         assert taken == [session.finalized_at]
 
     def test_golden_replay_telemetry_is_observer_neutral(self):
-        kwargs = dict(model="tinyvit-5m", measure_requests=60,
-                      max_sim_seconds=12000.0)
-        bare = replay_trace(GOLDEN_TRACE, fast_forward=True, **kwargs)
+        bare = replay_trace(GOLDEN_TRACE, _replay_config(), fast_forward=True)
         scraped = replay_trace(
-            GOLDEN_TRACE, fast_forward=True,
-            telemetry=SCRAPED.with_overrides(scrape_interval_seconds=60.0),
-            **kwargs,
+            GOLDEN_TRACE,
+            _replay_config(SCRAPED.with_overrides(scrape_interval_seconds=60.0)),
+            fast_forward=True,
         )
         assert scraped.sim.metrics == bare.sim.metrics
         assert scraped.live.metrics == bare.live.metrics

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -140,6 +141,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "nodes needed : 1" in out
         assert "p99 by fleet size" in out
+
+
+class TestFacesPin:
+    """`repro faces --json` rows, pinned byte for byte: closed-loop face
+    runs with and without a workload (the workload sets the frame mix
+    only; its arrivals are ignored)."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--brokers", "fused,redis", "--faces", "1,9", "--frames", "60"],
+         "ebf8d6488fd0fe83de3bf031ec2f8ec9ef388bcbe1c2ee2a4e2aac3b3a788d3f"),
+        (["--brokers", "kafka", "--faces", "5", "--frames", "60",
+          "--workload", "constant:rate=50,zipf=1.0,catalog=16"],
+         "1f44a5444c05bf6d403bef8c6fccdacf122ce3060a81285d67424f07d51aaa28"),
+    ], ids=["brokers", "workload"])
+    def test_json_rows_are_pinned(self, tmp_path, capsys, argv, digest):
+        path = tmp_path / "faces.json"
+        assert main(["faces", *argv, "--json", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestServeReplay:
+    def test_runtime_reaches_the_replayed_deployment(self, tmp_path, capsys):
+        rows = {}
+        for runtime in ("tensorrt", "pytorch"):
+            path = tmp_path / f"{runtime}.json"
+            assert main([
+                "serve", "--replay", "tests/workload/golden/day.jsonl.gz",
+                "--model", "tinyvit-5m", "--requests", "60",
+                "--max-seconds", "12000", "--fast-forward",
+                "--runtime", runtime, "--json", str(path),
+            ]) == 0
+            rows[runtime] = json.loads(path.read_text())[0]
+        assert rows["pytorch"]["sim_completed"] == rows["tensorrt"]["sim_completed"]
+        # PyTorch eager runs the same model slower than a TensorRT engine.
+        assert rows["pytorch"]["sim_p99_latency"] > rows["tensorrt"]["sim_p99_latency"]
 
 
 class TestTelemetryCommand:
