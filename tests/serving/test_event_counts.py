@@ -1,25 +1,76 @@
-"""The work one canonical run does, pinned as an exact event count.
+"""The work canonical runs do, pinned as exact event counts.
 
 Wall-clock gates cannot see a 10% slowdown on a noisy host, but the
 number of events a deterministic run schedules repeats exactly, so a
 change that makes the simulator do more (or less) work per request
-fails here.  A model change that legitimately alters the count re-pins
-these numbers and says so in its description.
+fails here.  Each run is pinned twice: the total (``env._eid``) and the
+events scheduled per class, where ``Initialize`` counts the processes
+started.  A model change that legitimately alters a count re-pins these
+numbers and says so in its description.
 """
+
+from collections import Counter
 
 import pytest
 
 import repro.serving.runner as runner_module
 from repro.core import ServerConfig
 from repro.serving import ExperimentConfig, run_experiment, run_fleet_experiment
-from repro.sim import Environment
 from repro.vision import reference_dataset
 from repro.workload import Workload
 
 
+class CountingBackend(runner_module.VirtualTimeBackend):
+    """Counts every event scheduled, by class, on every scheduling path."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = Counter()
+
+    def schedule(self, event, priority=1, delay=0.0):
+        self.counts[type(event).__name__] += 1
+        super().schedule(event, priority, delay)
+
+    def schedule_at(self, event, at, priority=1):
+        self.counts[type(event).__name__] += 1
+        super().schedule_at(event, at, priority)
+
+    def timeout(self, delay, value=None):
+        # The base timeout() pushes onto the queue without schedule().
+        self.counts["Timeout"] += 1
+        return super().timeout(delay, value)
+
+
+CLOSED_LOOP_CLASSES = {
+    "cpu": {
+        "Condition": 102, "ContainerGet": 121, "ContainerPut": 120, "Event": 122,
+        "Initialize": 276, "PriorityRequest": 84, "Process": 242, "Request": 744,
+        "StoreGet": 163, "StorePut": 163, "Timeout": 679,
+    },
+    "gpu": {
+        "AllOf": 37, "Condition": 189, "ContainerGet": 134, "ContainerPut": 120,
+        "Event": 122, "Initialize": 413, "PriorityRequest": 74, "Process": 389,
+        "Request": 598, "StoreGet": 268, "StorePut": 343, "Timeout": 746,
+    },
+}
+
+FLEET_CLASSES = {
+    100.0: {
+        "AllOf": 247, "Condition": 252, "ContainerGet": 250, "ContainerPut": 250,
+        "Event": 502, "Initialize": 1015, "PriorityRequest": 494, "Process": 1001,
+        "Request": 1494, "StoreGet": 1241, "StorePut": 1244, "Timeout": 2488,
+    },
+    2000.0: {
+        "AllOf": 453, "Condition": 226, "ContainerGet": 1197, "ContainerPut": 269,
+        "Event": 508, "Initialize": 3987, "PriorityRequest": 467, "Process": 2933,
+        "Request": 4399, "StoreGet": 2362, "StorePut": 4125, "Timeout": 6383,
+    },
+}
+
+
 @pytest.mark.parametrize("device, events", [("cpu", 2816), ("gpu", 3433)])
 def test_closed_loop_event_count(device, events):
-    env = Environment()
+    env = CountingBackend()
     config = ExperimentConfig(
         server=ServerConfig(
             model="resnet-50", preprocess_batch_size=64, preprocess_device=device),
@@ -32,13 +83,15 @@ def test_closed_loop_event_count(device, events):
     run_experiment(config, backend=env)
     # Every event ever scheduled (timeouts, grants, process exits, ...).
     assert env._eid == events
+    assert dict(env.counts) == CLOSED_LOOP_CLASSES[device]
+    assert sum(env.counts.values()) == events
 
 
 @pytest.mark.parametrize("rate, events", [(100.0, 10478), (2000.0, 27309)])
 def test_fleet_event_count(rate, events, monkeypatch):
     envs = []
 
-    class RecordingBackend(runner_module.VirtualTimeBackend):
+    class RecordingBackend(CountingBackend):
         def __init__(self):
             super().__init__()
             envs.append(self)
@@ -53,3 +106,5 @@ def test_fleet_event_count(rate, events, monkeypatch):
     # exit events (10978 and 28816).
     (env,) = envs
     assert env._eid == events
+    assert dict(env.counts) == FLEET_CLASSES[rate]
+    assert sum(env.counts.values()) == events
