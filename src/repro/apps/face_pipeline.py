@@ -156,7 +156,7 @@ class FacePipeline:
             name="detect-batcher",
         )
         for _ in range(config.detection_instances):
-            env.process(self._detection_instance())
+            env.spawn(self._detection_instance())
 
         #: Optional :class:`~repro.telemetry.tracer.Tracer`; when set,
         #: submitted frames are armed for timestamped span recording.
@@ -171,9 +171,9 @@ class FacePipeline:
                 name="identify-batcher",
                 preferred_batch=config.identification_preferred_batch,
             )
-            env.process(self._consumer())
+            env.spawn(self._consumer())
             for _ in range(config.identification_instances):
-                env.process(self._identification_instance())
+                env.spawn(self._identification_instance())
 
     def __repr__(self) -> str:
         return f"<FacePipeline broker={self.config.broker} faces={self.config.faces_per_frame}>"
@@ -226,7 +226,7 @@ class FacePipeline:
         done = self.env.event()
         faces = self.faces_distribution.sample(self._faces_rng)
         frame = _Frame(request, done, faces)
-        self.env.process(self._ingest(frame))
+        self.env.spawn(self._ingest(frame))
         return done
 
     # -- stage 1: detection -------------------------------------------------------
@@ -284,14 +284,14 @@ class FacePipeline:
         )
         for frame in frames:
             if frame.faces_total == 0:
-                self.env.process(self._finalize(frame))
+                self.env.spawn(self._finalize(frame))
                 continue
             frame.request.begin(SPAN_IDENTIFY, self.env.now)
             for _ in range(frame.faces_total):
                 yield from self.node.cpu.run(self.config.fused_dispatch_cpu_seconds)
                 yield from self.gpu.execute(single, priority=PRIORITY_INFERENCE)
             frame.request.end(SPAN_IDENTIFY, self.env.now)
-            self.env.process(self._finalize(frame))
+            self.env.spawn(self._finalize(frame))
 
     # -- brokered: produce / consume / batched identification ------------------------
 
@@ -301,7 +301,7 @@ class FacePipeline:
         assert broker is not None
         for frame in frames:
             if frame.faces_total == 0:
-                self.env.process(self._finalize(frame))
+                self.env.spawn(self._finalize(frame))
                 continue
             # Crop extraction result back to host memory for serialization.
             yield from self.gpu.link.transfer(
@@ -342,7 +342,7 @@ class FacePipeline:
         if frame.faces_remaining == 0:
             if frame.request.span_open(SPAN_IDENTIFY):
                 frame.request.end(SPAN_IDENTIFY, self.env.now)
-            self.env.process(self._finalize(frame))
+            self.env.spawn(self._finalize(frame))
 
     def _consumer(self):
         """Drain the topic into the identification batcher."""
@@ -378,7 +378,7 @@ class FacePipeline:
             for frame in frames_in_batch.values():
                 if frame.faces_remaining == 0:
                     frame.request.end(SPAN_IDENTIFY, now)
-                    self.env.process(self._finalize(frame))
+                    self.env.spawn(self._finalize(frame))
 
     # -- completion --------------------------------------------------------------
 

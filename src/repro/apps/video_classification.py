@@ -109,7 +109,7 @@ class VideoClassificationServer:
             name="video-frame-batcher",
         )
         for _ in range(config.inference_instances):
-            env.process(self._inference_instance())
+            env.spawn(self._inference_instance())
 
     def __repr__(self) -> str:
         return (
@@ -122,7 +122,7 @@ class VideoClassificationServer:
         # The request's "image" slot carries a representative frame.
         request = InferenceRequest(video.frame_as_image(0), arrival_time=self.env.now)
         done = self.env.event()
-        self.env.process(self._handle(video, request, done))
+        self.env.spawn(self._handle(video, request, done))
         return done
 
     # -- pipeline ----------------------------------------------------------------
@@ -192,7 +192,7 @@ class VideoClassificationServer:
                 clip.request.add(SPAN_TRANSFER, elapsed)
                 if clip.frames_remaining == 0:
                     clip.request.end(SPAN_INFERENCE, now)
-                    self.env.process(self._finalize(clip))
+                    self.env.spawn(self._finalize(clip))
 
     def _finalize(self, clip: _Clip):
         request = clip.request

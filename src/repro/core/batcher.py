@@ -79,7 +79,7 @@ class DynamicBatcher:
         self._arrivals: Deque[float] = deque()
         self._draining = False
         self._drained = None
-        self._process = env.process(self._run())
+        env.spawn(self._run())
 
     def __repr__(self) -> str:
         return (

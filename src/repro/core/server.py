@@ -23,6 +23,7 @@ root-causes the TinyViT anomaly to).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 from ..cache.tiers import CacheEntry, CacheHierarchy
@@ -58,6 +59,10 @@ from .request import (
 )
 
 __all__ = ["InferenceServer", "BatchEntry"]
+
+#: Images whose preprocessing cost one server remembers, least recently
+#: used first out: a dataset may draw a new image for every request.
+_COST_MEMO_SIZE = 256
 
 
 def _output_bytes(model: ModelSpec) -> float:
@@ -118,6 +123,14 @@ class InferenceServer:
         self.raw_tensor_bytes = self.model.input_size * self.model.input_size * 3 * 4
         self.output_bytes = _output_bytes(self.model)
 
+        # The preprocessing cost models are pure functions of the image
+        # (a frozen value) once the input size and calibration are fixed.
+        input_size, calibration = self.model.input_size, self.calibration
+        self._cpu_cost = lru_cache(maxsize=_COST_MEMO_SIZE)(
+            lambda image: cpu_preprocess_cost(image, input_size, calibration))
+        self._gpu_cost = lru_cache(maxsize=_COST_MEMO_SIZE)(
+            lambda image: gpu_preprocess_cost(image, input_size, calibration))
+
         self._rr = itertools.cycle(range(node.gpu_count))
         self._cpu_workers = Resource(env, capacity=config.preprocess_workers)
 
@@ -147,12 +160,12 @@ class InferenceServer:
                 )
                 self._preproc_batchers.append(batcher)
                 for _ in range(config.preprocess_pipelines):
-                    env.process(self._gpu_preprocess_pipeline(gpu, batcher))
+                    env.spawn(self._gpu_preprocess_pipeline(gpu, batcher))
 
         if config.mode != MODE_PREPROCESS_ONLY:
             for i, gpu in enumerate(node.gpus):
                 for _ in range(config.inference_instances):
-                    env.process(self._inference_instance(gpu, self._batchers[i]))
+                    env.spawn(self._inference_instance(gpu, self._batchers[i]))
 
         #: Content-aware cache hierarchy (``None`` = caching disabled;
         #: the request path is then bit-identical to pre-cache builds).
@@ -286,7 +299,7 @@ class InferenceServer:
         if self.tracer is not None:
             self.tracer.register(request)
         done = self.env.event()
-        self.env.process(self._handle(request, done))
+        self.env.spawn(self._handle(request, done))
         return done
 
     # -- cache keys ------------------------------------------------------------
@@ -364,7 +377,7 @@ class InferenceServer:
 
     def _cpu_preprocess(self, request: InferenceRequest, gpu: Gpu, done: Event):
         """Python-backend preprocessing on host cores."""
-        cost = cpu_preprocess_cost(request.image, self.model.input_size, self.calibration)
+        cost = self._cpu_cost(request.image)
         core_seconds = cost.core_seconds
         image_hit = False
         if self.cache is not None:
@@ -489,9 +502,7 @@ class InferenceServer:
             decode_time = 0.0
             kernel_time = gpu_cal.preprocess_launch_seconds
             for entry in entries:
-                cost = gpu_preprocess_cost(
-                    entry.request.image, self.model.input_size, self.calibration
-                )
+                cost = self._gpu_cost(entry.request.image)
                 if entry not in cached_entries:
                     decode_time += cost.decode_kernel_seconds
                 kernel_time += cost.postprocess_kernel_seconds
@@ -517,7 +528,7 @@ class InferenceServer:
             if self.config.mode == MODE_PREPROCESS_ONLY:
                 for entry, done in batch:
                     gpu.memory.free(entry.allocation)
-                    self.env.process(self._finalize_proc(entry.request, done))
+                    self.env.spawn(self._finalize(entry.request, done))
                 continue
 
             for entry, done in batch:
@@ -526,7 +537,7 @@ class InferenceServer:
 
     def _stage_sample(self, staging, entry: BatchEntry):
         """Occupy one staging thread for the sample's host-side work."""
-        cost = gpu_preprocess_cost(entry.request.image, self.model.input_size, self.calibration)
+        cost = self._gpu_cost(entry.request.image)
         with staging.request() as grant:
             yield grant
             yield self.env.timeout(cost.staging_seconds)
@@ -538,7 +549,7 @@ class InferenceServer:
         entry.request.eviction_count += 1
         gpu = entry.gpu if entry.gpu is not None else self.node.gpus[entry.request.gpu_index]
         # Asynchronous write-back of the resized tensor to host memory.
-        self.env.process(self._writeback(gpu))
+        self.env.spawn(self._writeback(gpu))
 
     def _writeback(self, gpu: Gpu):
         yield from gpu.link.transfer(self.tensor_bytes, D2H, pinned=True)
@@ -591,7 +602,7 @@ class InferenceServer:
                         )
 
             for entry, done in batch:
-                self.env.process(self._finalize_proc(entry.request, done))
+                self.env.spawn(self._finalize(entry.request, done))
 
     def _materialize_inputs(self, gpu: Gpu, entries: List[BatchEntry]):
         """Ensure every entry's tensor is resident on ``gpu``."""
@@ -651,9 +662,6 @@ class InferenceServer:
                 entry.cache_entry = None
 
     # -- completion -------------------------------------------------------------
-
-    def _finalize_proc(self, request: InferenceRequest, done: Event):
-        yield from self._finalize(request, done)
 
     def _finalize(self, request: InferenceRequest, done: Event):
         request.begin(SPAN_POSTPROCESS, self.env.now)

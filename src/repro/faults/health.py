@@ -56,7 +56,7 @@ class DeviceHealth:
             self._resume = self.env.event()
             self._down_since = self.env.now
             self._down_until = restore_at
-            self.env.process(self._restore())
+            self.env.spawn(self._restore())
         else:
             # Overlapping fault: extend the outage window.
             self._down_until = max(self._down_until, restore_at)

@@ -159,7 +159,7 @@ class FaultInjector:
                     )
 
     def _spawn(self, kind, target, mtbf, duration, trigger) -> None:
-        self.env.process(self._hazard(kind, target, mtbf, duration, trigger))
+        self.env.spawn(self._hazard(kind, target, mtbf, duration, trigger))
 
     def _hazard(self, kind, target, mtbf, duration, trigger) -> Generator:
         """One Poisson fault process against one target."""
@@ -179,7 +179,7 @@ class FaultInjector:
     def _degrade(self, node, slowdown: float, duration: float) -> None:
         for gpu in node.gpus:
             gpu.health.slowdown = slowdown
-        self.env.process(self._restore_slowdown(node, duration))
+        self.env.spawn(self._restore_slowdown(node, duration))
 
     def _restore_slowdown(self, node, duration: float) -> Generator:
         yield self.env.timeout(duration)
@@ -188,7 +188,7 @@ class FaultInjector:
 
     def _throttle(self, link, factor: float, duration: float) -> None:
         link.health.bandwidth_factor = factor
-        self.env.process(self._restore_bandwidth(link, duration))
+        self.env.spawn(self._restore_bandwidth(link, duration))
 
     def _restore_bandwidth(self, link, duration: float) -> Generator:
         yield self.env.timeout(duration)
@@ -199,7 +199,7 @@ class FaultInjector:
             gpu.health.fail(duration)
         if balancer is not None:
             balancer.set_node_up(index, False)
-            self.env.process(self._restore_node(balancer, index, duration))
+            self.env.spawn(self._restore_node(balancer, index, duration))
 
     def _restore_node(self, balancer, index: int, duration: float) -> Generator:
         yield self.env.timeout(duration)

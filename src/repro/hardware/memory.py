@@ -146,7 +146,7 @@ class GpuMemoryPool:
             raise ValueError(f"negative allocation {nbytes}")
         if self.free_bytes < nbytes:
             return None
-        self._free.get(nbytes)  # succeeds immediately
+        self._free.adjust(-nbytes)  # fits: taken at once
         allocation = Allocation(self, nbytes, evictable, on_evict, tag=tag)
         if evictable:
             self._evictable.append(allocation)
@@ -160,7 +160,7 @@ class GpuMemoryPool:
         allocation.released = True
         if allocation in self._evictable:
             self._evictable.remove(allocation)
-        self._free.put(allocation.nbytes)
+        self._free.adjust(allocation.nbytes)
 
     def pin(self, allocation: Allocation) -> None:
         """Make an evictable allocation non-evictable (about to be used)."""

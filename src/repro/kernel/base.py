@@ -68,7 +68,17 @@ class ExecutionBackend(Protocol):
         ...
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
-        """Spawn a coroutine process from ``generator``."""
+        """Start a coroutine process from ``generator``; the returned
+        event succeeds with the generator's return value."""
+        ...
+
+    def spawn(self, generator: Generator[Event, Any, Any]) -> None:
+        """Start a fire-and-forget process from ``generator``.
+
+        It starts exactly as with :meth:`process`, but nothing can wait
+        on it: a successful finish schedules no exit event, and a
+        failure still escalates from the dispatch loop.
+        """
         ...
 
     def all_of(self, events) -> AllOf:

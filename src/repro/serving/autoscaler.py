@@ -122,7 +122,7 @@ class AutoscaledFleet:
         self._provisioning = 0
         self.events: List[ScalingEvent] = []
         self._last_action_time = -float("inf")
-        env.process(self._controller())
+        env.spawn(self._controller())
 
     # -- public API --------------------------------------------------------------
 
@@ -196,7 +196,7 @@ class AutoscaledFleet:
             ):
                 self._last_action_time = self.env.now
                 self._provisioning += 1
-                self.env.process(self._provision())
+                self.env.spawn(self._provision())
             elif factor < policy.scale_in_threshold and self.active_count > policy.min_nodes:
                 # Drain-free scale-in: stop routing to the last node; its
                 # in-flight requests still finish.

@@ -57,7 +57,7 @@ class ClosedLoopClient:
         self._rng = streams.stream("client:images")
         self._think_rng = streams.stream("client:think")
         for _ in range(concurrency):
-            env.process(self._worker())
+            env.spawn(self._worker())
 
     def stop(self) -> None:
         """Stop issuing new requests (in-flight ones finish)."""
@@ -110,7 +110,7 @@ class WorkloadClient:
         self.issued = 0
         self.exhausted = False
         self._stopped = False
-        env.process(self._generator())
+        env.spawn(self._generator())
 
     def stop(self) -> None:
         """Stop issuing new requests (in-flight ones finish)."""

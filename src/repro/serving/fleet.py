@@ -139,7 +139,7 @@ class LoadBalancer:
         self.peak_backlog = 0
         self._rr = itertools.cycle(range(len(servers)))
         self._backlog: Store = Store(env)
-        env.process(self._dispatcher())
+        env.spawn(self._dispatcher())
 
     @property
     def backlog_depth(self) -> int:
@@ -302,7 +302,7 @@ class LoadBalancer:
                 deadline=deadline, attempt=job.attempt, phase=job.phase,
                 trace=job.trace,
             )
-            self.env.process(self._track(index, job, inner, deadline))
+            self.env.spawn(self._track(index, job, inner, deadline))
 
     def _track(self, index: int, job: _Job, inner: Event, deadline: Optional[float]):
         if deadline is None:
@@ -325,7 +325,7 @@ class LoadBalancer:
         # now (retry elsewhere) and release the node slot whenever the
         # stalled attempt finally drains.
         self._note_attempt_timeout(index)
-        self.env.process(self._drain(index, inner))
+        self.env.spawn(self._drain(index, inner))
         self._retry_or_fail(job)
 
     def _settle_success(self, index: int, job: _Job, request) -> None:
@@ -359,7 +359,7 @@ class LoadBalancer:
         self.retries += 1
         if self.metrics is not None:
             self.metrics.note_retry()
-        self.env.process(self._requeue(job))
+        self.env.spawn(self._requeue(job))
 
     def _requeue(self, job: _Job):
         delay = self.resilience.retry.backoff_seconds(job.attempt, self._retry_rng)

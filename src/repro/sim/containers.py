@@ -102,6 +102,33 @@ class Container:
         """Remove ``amount``; event succeeds when available."""
         return ContainerGet(self, amount)
 
+    def adjust(self, delta: float) -> None:
+        """Add ``delta`` (remove ``-delta`` when negative), for callers
+        that never wait on the change.
+
+        When no put (get) is queued and the change fits, the level moves
+        at once, by the same float operation :meth:`_trigger` applies,
+        and no event is created: the event :meth:`put` (:meth:`get`)
+        would schedule has no callbacks.  Otherwise this falls back to
+        that event, which is served as usual.  Waiters of the other kind
+        are served as after :meth:`put` (:meth:`get`).
+        """
+        if delta >= 0:
+            if self._put_waiters or self._level + delta > self._capacity:
+                ContainerPut(self, delta)
+                return
+            self._level += delta
+            others = self._get_waiters
+        else:
+            amount = -delta
+            if self._get_waiters or self._level < amount:
+                ContainerGet(self, amount)
+                return
+            self._level -= amount
+            others = self._put_waiters
+        if others:
+            self._trigger()
+
     def _trigger(self) -> None:
         """Serve queued puts/gets until stable.
 

@@ -89,6 +89,20 @@ class Environment:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)
 
+    def spawn(self, generator: Generator[Event, Any, Any]) -> None:
+        """Start a fire-and-forget process from ``generator``.
+
+        The process starts exactly as with :meth:`process`: the same
+        ``Initialize`` event, at the same priority and queue position.
+        Nothing is returned, so nothing can wait on the process, and a
+        successful finish schedules no exit event: the process is marked
+        processed in place.  Dropping that callback-free dispatch leaves
+        the relative order of every other event unchanged.  A failure
+        still schedules the failed exit, so :meth:`run` raises at the
+        same dispatch as for an unwaited :meth:`process`.
+        """
+        Process(self, generator)._detached = True
+
     def all_of(self, events) -> AllOf:
         """Condition that waits for all of ``events``."""
         return AllOf(self, events)

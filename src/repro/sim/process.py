@@ -24,11 +24,12 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
+        self.env = env
         self.callbacks = [process._resume]
-        self._ok = True
         self._value = None
-        env.schedule(self, priority=URGENT)
+        self._ok = True
+        self._defused = False
+        env.schedule(self, URGENT)
 
 
 class Process(Event):
@@ -38,13 +39,21 @@ class Process(Event):
     with its return value, or failed with the uncaught exception.
     """
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_generator", "_detached")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Event.__init__'s fields, assigned in place: every process start
+        # in the simulator runs this.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
+        #: Started by Environment.spawn: nobody waits on the exit.
+        self._detached = False
         Initialize(env, self)
 
     def __repr__(self) -> str:
@@ -75,10 +84,15 @@ class Process(Event):
                     event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as stop:
-                # Generator finished: the process event succeeds.
+                # Generator finished: the process event succeeds.  A
+                # spawned process nobody waits on has nothing to
+                # dispatch, so it is processed in place.
                 self._ok = True
                 self._value = stop.value
-                env.schedule(self)
+                if self._detached and not self.callbacks:
+                    self.callbacks = None
+                else:
+                    env.schedule(self)
                 break
             except BaseException as exc:  # noqa: BLE001 - deliberate catch-all
                 # Generator died: the process event fails.  If nobody waits

@@ -21,7 +21,7 @@ from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -35,19 +35,35 @@ class Request(Event):
     __slots__ = ("resource", "usage_since", "requested_at")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Event.__init__'s fields, assigned in place: every resource
+        # request in the simulator runs this.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.usage_since: Optional[float] = None
         #: Time the request was issued; used for queue-time accounting.
-        self.requested_at: float = resource.env.now
+        self.requested_at: float = env.now
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        # Resource.release frees the slot if granted and cancels the
-        # request if still queued; it is a no-op once the request is gone.
+        """Release the slot, or cancel the request if still queued.
+
+        Resource.release is a no-op once the request is gone.  A
+        ``GeneratorExit`` releases nothing: the kernel never interrupts a
+        process, so its generator is closed only when the garbage
+        collector finalizes a process suspended in this block, after its
+        environment was discarded.  Releasing then would grant the next
+        queued request on that dead environment and schedule it there.
+        """
+        if exc_type is GeneratorExit:
+            return
         self.resource.release(self)
 
     @property
@@ -119,7 +135,10 @@ class Resource:
         """
         users = self.users
         if request in users:
-            self._account()
+            # _account(), inlined: count the slot as busy up to now.
+            now = self.env.now
+            self._busy_time += len(users) * (now - self._last_change)
+            self._last_change = now
             users.remove(request)
             queue = self.queue
             while queue and len(users) < self._capacity:
@@ -166,9 +185,16 @@ class Resource:
         self.queue.append(request)
 
     def _grant(self, request: Request) -> None:
-        request.usage_since = self._account()
-        self.users.append(request)
-        request.succeed()
+        # _account() and request.succeed(), inlined: a request being
+        # granted is always pending and ok, so only its value changes.
+        now = self.env.now
+        users = self.users
+        self._busy_time += len(users) * (now - self._last_change)
+        self._last_change = now
+        request.usage_since = now
+        users.append(request)
+        request._value = None
+        self.env.schedule(request)
 
     def _new_queue(self):
         return deque()

@@ -194,7 +194,7 @@ class MetricsScraper:
             return
         self._running = True
         self._epoch += 1
-        self.env.process(self._sampler(self._epoch))
+        self.env.spawn(self._sampler(self._epoch))
 
     def stop(self) -> None:
         """Stop sampling; the pending wake-up becomes a no-op."""

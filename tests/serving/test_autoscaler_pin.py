@@ -4,9 +4,11 @@ A flash crowd overruns one node, the controller provisions more, and
 admission control sheds once the balancer backlog reaches its cap.  One
 SHA-256 covers every window latency, the resolution of every issued
 request in the order it resolved (outcome, arrival and completion
-stamps), the shed count, the scaling timeline and the number of events
-the run scheduled.  Any change to the autoscaler, its balancer or the
-dispatch path under it that moves one of these breaks the pin.
+stamps), the shed count and the scaling timeline.  Any change to the
+autoscaler, its balancer or the dispatch path under it that moves one
+of these breaks the pin.  The number of events the run scheduled is
+pinned on its own, so a change that only drops dispatches without
+callbacks re-pins that count and leaves the digest as it is.
 """
 
 import hashlib
@@ -42,8 +44,8 @@ def test_flash_burst_autoscaler_pin():
     metrics = collector.finalize()
 
     timeline = [(e.at_time, e.action, e.active_nodes) for e in fleet.events]
-    assert (metrics.completed, fleet.shed, len(timeline), env._eid) == (
-        14446, 10224, 4, 437603)
+    assert (metrics.completed, fleet.shed, len(timeline)) == (14446, 10224, 4)
+    assert env._eid == 379755
     digest = hashlib.sha256()
     for latency in metrics.latencies:
         digest.update(repr(latency).encode())
@@ -51,6 +53,6 @@ def test_flash_burst_autoscaler_pin():
     for resolution in resolutions:
         digest.update(repr(resolution).encode())
         digest.update(b";")
-    digest.update(repr((fleet.shed, timeline, env._eid)).encode())
+    digest.update(repr((fleet.shed, timeline)).encode())
     assert digest.hexdigest() == (
-        "e3eb7dfdfefad3b079a90f89016688f9e2be59eb3a78f3361958c682b6f657e1")
+        "9bda9339c380a1c62d78868a1a0abff8aac7f14c33b789d61c494a3b156e4154")

@@ -1,8 +1,23 @@
 """Unit tests for Resource / PriorityResource / Container."""
 
+import gc
+
 import pytest
 
 from repro.sim import Container, Environment, PriorityResource, Resource
+from repro.sim.events import NORMAL
+
+
+class CountingEnvironment(Environment):
+    """Counts the events scheduled through ``schedule``."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule(self, event, priority=NORMAL, delay=0.0):
+        self.scheduled += 1
+        super().schedule(event, priority, delay)
 
 
 class TestResource:
@@ -197,6 +212,33 @@ class TestResource:
         assert res.utilization() == pytest.approx(0.25)
 
 
+    def test_collecting_a_finished_run_schedules_nothing(self):
+        # A run that ends with one holder and one queued request leaves
+        # both processes suspended inside `with res.request()`.  When
+        # the collector closes them, the holder's exit must not grant
+        # the queued request on the discarded environment.
+        def finished_run():
+            env = CountingEnvironment()
+            res = Resource(env, capacity=1)
+
+            def user(env):
+                with res.request() as req:
+                    yield req
+                    yield env.event()  # never triggers
+
+            env.process(user(env))
+            env.process(user(env))
+            env.run()
+            assert (len(res.users), len(res.queue)) == (1, 1)
+            return env
+
+        env = finished_run()
+        before = env.scheduled
+        gc.collect()
+        assert env.scheduled == before
+        assert env.pending == 0
+
+
 class TestPriorityResource:
     def test_priority_order(self):
         env = Environment()
@@ -334,3 +376,38 @@ class TestContainer:
 
         env.run(until=env.process(proc(env)))
         assert c.level == 10
+
+    def test_adjust_moves_the_level_without_an_event(self):
+        env = CountingEnvironment()
+        c = Container(env, capacity=10, init=4)
+        c.adjust(5.5)
+        assert c.level == 9.5
+        c.adjust(-2.25)
+        assert c.level == 7.25
+        assert env.scheduled == 0 and env.pending == 0
+
+    def test_adjust_serves_waiters_of_the_other_kind(self):
+        env = Environment()
+        c = Container(env, capacity=10)
+        got = []
+
+        def getter(env):
+            yield c.get(3)
+            got.append(env.now)
+
+        env.process(getter(env))
+        env.run()
+        c.adjust(5)
+        env.run()
+        assert got == [0] and c.level == 2
+
+    def test_adjust_falls_back_to_an_event_behind_waiters(self):
+        env = CountingEnvironment()
+        c = Container(env, capacity=10, init=2)
+        blocked = c.get(6)
+        c.adjust(-1)  # fits, but queues behind the blocked get: first fit
+        assert c.level == 1 and env.scheduled == 1
+        c.adjust(20)  # does not fit: waits as a put
+        assert c.level == 1 and c.free == 9
+        c.adjust(5)  # serves the blocked get; the queued put still waits
+        assert blocked.triggered and c.level == 0
