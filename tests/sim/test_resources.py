@@ -211,7 +211,6 @@ class TestResource:
         # One of two slots busy for 5 of 10 seconds -> 25%.
         assert res.utilization() == pytest.approx(0.25)
 
-
     def test_collecting_a_finished_run_schedules_nothing(self):
         # A run that ends with one holder and one queued request leaves
         # both processes suspended inside `with res.request()`.  When
