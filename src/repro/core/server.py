@@ -23,7 +23,6 @@ root-causes the TinyViT anomaly to).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Callable, List, Optional
 
 from ..cache.tiers import CacheEntry, CacheHierarchy
@@ -59,10 +58,6 @@ from .request import (
 )
 
 __all__ = ["InferenceServer", "BatchEntry"]
-
-#: Images whose preprocessing cost one server remembers, least recently
-#: used first out: a dataset may draw a new image for every request.
-_COST_MEMO_SIZE = 256
 
 
 def _output_bytes(model: ModelSpec) -> float:
@@ -122,14 +117,6 @@ class InferenceServer:
         #: (decoded fp32 image — the "~5x larger" payload of Sec. 4.4).
         self.raw_tensor_bytes = self.model.input_size * self.model.input_size * 3 * 4
         self.output_bytes = _output_bytes(self.model)
-
-        # The preprocessing cost models are pure functions of the image
-        # (a frozen value) once the input size and calibration are fixed.
-        input_size, calibration = self.model.input_size, self.calibration
-        self._cpu_cost = lru_cache(maxsize=_COST_MEMO_SIZE)(
-            lambda image: cpu_preprocess_cost(image, input_size, calibration))
-        self._gpu_cost = lru_cache(maxsize=_COST_MEMO_SIZE)(
-            lambda image: gpu_preprocess_cost(image, input_size, calibration))
 
         self._rr = itertools.cycle(range(node.gpu_count))
         self._cpu_workers = Resource(env, capacity=config.preprocess_workers)
@@ -377,7 +364,7 @@ class InferenceServer:
 
     def _cpu_preprocess(self, request: InferenceRequest, gpu: Gpu, done: Event):
         """Python-backend preprocessing on host cores."""
-        cost = self._cpu_cost(request.image)
+        cost = cpu_preprocess_cost(request.image, self.model.input_size, self.calibration)
         core_seconds = cost.core_seconds
         image_hit = False
         if self.cache is not None:
@@ -458,11 +445,17 @@ class InferenceServer:
                         cached_entries.add(entry)
                         entry.request.served_from = "image"
 
+            # Each sample is priced once: staging here, kernels in step 4.
+            costs = [
+                gpu_preprocess_cost(entry.request.image, self.model.input_size, self.calibration)
+                for entry in entries
+            ]
+
             # 1. Host staging: each sample needs a staging thread for its
             #    pinned copy + bitstream parse (pool shared across GPUs).
             stage_jobs = [
-                self.env.process(self._stage_sample(staging, entry))
-                for entry in entries
+                self.env.process(self._stage_sample(staging, cost.staging_seconds))
+                for entry, cost in zip(entries, costs)
                 if entry not in cached_entries
             ]
             if stage_jobs:
@@ -501,8 +494,7 @@ class InferenceServer:
             #    paper cites in Sec. 2.2).
             decode_time = 0.0
             kernel_time = gpu_cal.preprocess_launch_seconds
-            for entry in entries:
-                cost = self._gpu_cost(entry.request.image)
+            for entry, cost in zip(entries, costs):
                 if entry not in cached_entries:
                     decode_time += cost.decode_kernel_seconds
                 kernel_time += cost.postprocess_kernel_seconds
@@ -535,12 +527,11 @@ class InferenceServer:
                 entry.request.begin(SPAN_QUEUE, self.env.now)
                 yield self._batchers[gpu.index].submit((entry, done))
 
-    def _stage_sample(self, staging, entry: BatchEntry):
+    def _stage_sample(self, staging, seconds: float):
         """Occupy one staging thread for the sample's host-side work."""
-        cost = self._gpu_cost(entry.request.image)
         with staging.request() as grant:
             yield grant
-            yield self.env.timeout(cost.staging_seconds)
+            yield self.env.timeout(seconds)
 
     def _on_evict(self, entry: BatchEntry) -> None:
         """Pool callback: the entry's tensor was pushed out to host memory."""

@@ -56,11 +56,13 @@ class Request(Event):
         """Release the slot, or cancel the request if still queued.
 
         Resource.release is a no-op once the request is gone.  A
-        ``GeneratorExit`` releases nothing: the kernel never interrupts a
-        process, so its generator is closed only when the garbage
-        collector finalizes a process suspended in this block, after its
-        environment was discarded.  Releasing then would grant the next
-        queued request on that dead environment and schedule it there.
+        ``GeneratorExit`` releases nothing, and the slot stays held on
+        purpose: the kernel never interrupts a process, so its generator
+        is closed only when the garbage collector finalizes a process
+        that nothing can resume any more, typically after its run ended.
+        Releasing then would grant the next queued request at a moment
+        the collector picks, and schedule it on an environment that may
+        already be discarded.
         """
         if exc_type is GeneratorExit:
             return

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque
 
-from .events import PENDING, Event
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -32,13 +32,7 @@ class StorePut(Event):
     __slots__ = ("item", "store")
 
     def __init__(self, store: "Store", item: Any) -> None:
-        # Event.__init__'s fields, assigned in place: every message hop
-        # in the simulator runs this.
-        self.env = store.env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
+        super().__init__(store.env)
         self.item = item
         self.store = store
         store._put_waiters.append(self)
@@ -56,15 +50,9 @@ class StoreGet(Event):
     __slots__ = ("store", "requested_at", "_abandoned")
 
     def __init__(self, store: "Store") -> None:
-        # Event.__init__'s fields, assigned in place, as in StorePut.
-        env = store.env
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
+        super().__init__(store.env)
         self.store = store
-        self.requested_at = env.now
+        self.requested_at = store.env.now
         self._abandoned = False
         store._get_waiters.append(self)
         store._trigger()

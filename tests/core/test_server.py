@@ -12,8 +12,7 @@ from repro.hardware import DEFAULT_CALIBRATION, ServerNode
 from repro.hardware.calibration import GpuCalibration
 from repro.serving import ExperimentConfig, run_experiment
 from repro.sim import Environment, RandomStreams
-from repro.vision import LARGE_IMAGE, MEDIUM_IMAGE, ImageNetLikeDataset, reference_dataset
-from repro.vision.ops import cpu_preprocess_cost, gpu_preprocess_cost
+from repro.vision import MEDIUM_IMAGE, reference_dataset
 
 
 def run_small(server=None, concurrency=32, measure=300, **overrides):
@@ -161,31 +160,3 @@ class TestEviction:
             calibration=calibration,
         )
         assert result.metrics.eviction_count == 0
-
-
-class TestCostMemo:
-    """The per-server memos of the preprocessing cost models."""
-
-    @pytest.mark.parametrize("device", ["cpu", "gpu"])
-    def test_memo_stays_bounded_when_every_image_is_new(self, device):
-        env = Environment()
-        server = InferenceServer(
-            env, ServerNode(env), ServerConfig(preprocess_device=device))
-        rng = RandomStreams(0).stream("images")
-        dataset = ImageNetLikeDataset()
-        done = [server.submit(dataset.sample(rng)) for _ in range(2000)]
-        env.run(until=env.all_of(done))
-        memo = server._cpu_cost if device == "cpu" else server._gpu_cost
-        info = memo.cache_info()
-        assert info.misses >= 2000
-        assert info.currsize == info.maxsize == 256
-
-    def test_memo_returns_what_the_cost_model_prices(self):
-        env = Environment()
-        server = InferenceServer(env, ServerNode(env), ServerConfig())
-        input_size = server.model.input_size
-        for image in (MEDIUM_IMAGE, MEDIUM_IMAGE, LARGE_IMAGE):
-            assert server._cpu_cost(image) == cpu_preprocess_cost(
-                image, input_size, DEFAULT_CALIBRATION)
-            assert server._gpu_cost(image) == gpu_preprocess_cost(
-                image, input_size, DEFAULT_CALIBRATION)

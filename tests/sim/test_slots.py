@@ -8,7 +8,9 @@ import importlib
 import pkgutil
 
 import repro
+from repro.sim import Environment, Resource
 from repro.sim.events import Event
+from repro.sim.process import Initialize
 
 
 def _import_all_repro_modules():
@@ -37,3 +39,18 @@ def test_no_repro_event_subclass_has_an_instance_dict():
     offenders = sorted(f"{cls.__module__}.{cls.__qualname__}"
                        for cls in events | {Event} if _has_instance_dict(cls))
     assert offenders == []
+
+
+def test_events_built_in_place_set_every_event_slot():
+    # Request, Process and Initialize assign Event's fields themselves
+    # instead of calling Event.__init__; a slot they miss would raise
+    # only when first read.
+    env = Environment()
+
+    def idle():
+        yield env.timeout(1)
+
+    process = env.process(idle())
+    for event in (Resource(env).request(), process, Initialize(env, process)):
+        missing = [slot for slot in Event.__slots__ if not hasattr(event, slot)]
+        assert missing == [], type(event).__name__
