@@ -384,7 +384,7 @@ def _run_serial(
     while True:
         candidate = pending.t if pending is not None else _INF
         for shard in shards:
-            peek = shard.peek()
+            peek = shard.env.peek()
             if peek < candidate:
                 candidate = peek
         if candidate == _INF:
@@ -411,8 +411,9 @@ def _run_serial(
         # Advance every shard with work inside the window to the
         # boundary.  Cells are independent, so the order is irrelevant.
         for shard in shards:
-            if shard.peek() < boundary:
-                shard.run_until(boundary)
+            env = shard.env
+            if env.peek() < boundary:
+                env.run(until=boundary)
 
     per_cell: List[Tuple[int, List[CompletionRecord]]] = []
     per_shard: List[Dict[str, Any]] = []

@@ -299,16 +299,6 @@ class ShardRuntime:
         self.env.schedule_at(event, deliver_t)
         self.delivered += 1
 
-    def peek(self) -> float:
-        return self.env.peek()
-
-    def run_until(self, at: float) -> None:
-        self.env.run(until=at)
-
-    def drain(self) -> None:
-        """Run the shard's queue dry (no more cross-shard input coming)."""
-        self.env.run()
-
     def cell_load(self, cell_id: int) -> int:
         runtime = self.cells.get(cell_id)
         return 0 if runtime is None else runtime.load
@@ -406,7 +396,8 @@ def run_shard_point(point: ShardPoint) -> Dict[str, Any]:
             cell_id, arrival,
             arrival.t + point.cluster.ingress_latency(cell_id),
         )
-    runtime.drain()
+    # Run the shard's queue dry: no more input is coming.
+    runtime.env.run()
     return {
         "shard_id": point.shard_id,
         "issued": issued,

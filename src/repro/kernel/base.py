@@ -47,10 +47,9 @@ class ExecutionBackend(Protocol):
     ``schedule``/``now`` and therefore work against any backend.
     """
 
-    @property
-    def now(self) -> float:
-        """Current time in seconds (virtual or wall, backend's choice)."""
-        ...
+    #: Current time in seconds (virtual or wall, backend's choice).  A
+    #: plain attribute: policy code reads it, only the kernel moves it.
+    now: float
 
     @property
     def active_process(self) -> Optional[Process]:

@@ -89,7 +89,7 @@ class AsyncioBackend(Environment):
     def __repr__(self) -> str:
         mode = "fast-forward" if self.fast_forward else f"x{self.time_scale:g}"
         return (
-            f"<AsyncioBackend(now={self._now:.6f}, {mode}, "
+            f"<AsyncioBackend(now={self.now:.6f}, {mode}, "
             f"pending={len(self._queue)})>"
         )
 
@@ -102,7 +102,7 @@ class AsyncioBackend(Environment):
         is simply the kernel's current time.
         """
         if self._wall_origin is None or self.fast_forward:
-            return self._now
+            return self.now
         elapsed = time.monotonic() - self._wall_origin
         return self._virtual_origin + elapsed * self.time_scale
 
@@ -115,9 +115,9 @@ class AsyncioBackend(Environment):
         the last dispatched event.
         """
         wall = self.wall_now()
-        if wall > self._now:
-            self._now = wall
-        return self._now
+        if wall > self.now:
+            self.now = wall
+        return self.now
 
     # -- scheduling (poke the parked dispatch loop) -----------------------
 
@@ -205,8 +205,8 @@ class AsyncioBackend(Environment):
                 until_event = until
             else:
                 at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until ({at}) must be >= now ({self._now})")
+                if at < self.now:
+                    raise ValueError(f"until ({at}) must be >= now ({self.now})")
                 until_event = Event(self)
                 until_event._ok = True
                 until_event._value = None
@@ -224,7 +224,7 @@ class AsyncioBackend(Environment):
         self._stop_requested = False
         self._wakeup = asyncio.Event()
         self._wall_origin = time.monotonic()
-        self._virtual_origin = self._now
+        self._virtual_origin = self.now
         queue = self._queue
         dispatched_in_slice = 0
         try:
@@ -243,12 +243,12 @@ class AsyncioBackend(Environment):
 
                 item = heappop(queue)
                 if self.fast_forward:
-                    self._now = item[0]
+                    self.now = item[0]
                 else:
                     # Stamp dispatch with real time: latency measured on
                     # this backend includes genuine scheduling overhead.
                     wall = self.wall_now()
-                    self._now = wall if wall > item[0] else item[0]
+                    self.now = wall if wall > item[0] else item[0]
                 event = item[3]
                 callbacks = event.callbacks
                 event.callbacks = None

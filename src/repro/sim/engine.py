@@ -31,23 +31,23 @@ class Environment:
     Time is a monotonically increasing float (seconds, by convention, in
     this repository).  Events scheduled at the same time are processed in
     (priority, insertion order), which makes runs fully deterministic.
+
+    ``now``, the current simulation time, is a plain attribute: policy
+    code reads it and only the kernel moves it
+    (``tests/kernel/test_clock_hygiene.py`` fails on a write outside
+    ``repro.sim`` and ``repro.kernel``).
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc")
+    __slots__ = ("now", "_queue", "_eid", "_active_proc")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_proc: Optional[Process] = None
 
     def __repr__(self) -> str:
-        return f"<Environment(now={self._now}, pending={len(self._queue)})>"
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
+        return f"<Environment(now={self.now}, pending={len(self._queue)})>"
 
     @property
     def pending(self) -> int:
@@ -82,7 +82,7 @@ class Environment:
         timeout._delay = delay
         eid = self._eid + 1
         self._eid = eid
-        heappush(self._queue, (self._now + delay, NORMAL, eid, timeout))
+        heappush(self._queue, (self.now + delay, NORMAL, eid, timeout))
         return timeout
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -117,20 +117,19 @@ class Environment:
         """Put a triggered ``event`` on the queue after ``delay``."""
         eid = self._eid + 1
         self._eid = eid
-        heappush(self._queue, (self._now + delay, priority, eid, event))
+        heappush(self._queue, (self.now + delay, priority, eid, event))
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Put a triggered ``event`` on the queue at absolute time ``at``.
 
         Unlike :meth:`schedule`, which computes ``now + delay``, this
         lands the event at exactly the given float.  Cross-environment
-        coordinators (``repro.cluster``) need that exactness — and so
-        does :meth:`run`'s until-event: a delivery computed as an
-        absolute time must fire at the bit-identical time, and
-        ``now + (at - now)`` can be one ulp off.
+        coordinators (``repro.cluster``) need that exactness: a delivery
+        computed as an absolute time must fire at the bit-identical
+        time, and ``now + (at - now)`` can be one ulp off.
         """
-        if at < self._now:
-            raise ValueError(f"at ({at}) must be >= now ({self._now})")
+        if at < self.now:
+            raise ValueError(f"at ({at}) must be >= now ({self.now})")
         eid = self._eid + 1
         self._eid = eid
         heappush(self._queue, (at, priority, eid, event))
@@ -155,7 +154,7 @@ class Environment:
             item = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        self._now = item[0]
+        self.now = item[0]
         event = item[3]
         callbacks = event.callbacks
         event.callbacks = None
@@ -172,34 +171,29 @@ class Environment:
         ``until`` may be:
 
         - ``None``: run until the event queue is exhausted.
-        - a number: run until simulation time reaches it (time is advanced
-          to exactly ``until`` even if no event occurs then).
+        - a number: dispatch every event that sorts before
+          ``(until, NORMAL + 1, eid)``, ``eid`` being the next insertion
+          number, which the call consumes: what a stop event queued at
+          ``until`` with priority ``NORMAL + 1`` would let through,
+          events scheduled during the run included.  Then set ``now``
+          to exactly ``until`` (even if no event occurs then) and
+          return ``None``.
         - an :class:`Event`: run until that event has been processed and
           return its value (raising its exception if it failed).
         """
-        until_event: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                until_event = until
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(f"until ({at}) must be >= now ({self._now})")
-                until_event = Event(self)
-                until_event._ok = True
-                until_event._value = None
-                # Priority below URGENT so everything at `at` runs first;
-                # schedule_at lands the stop at *exactly* `at` (the
-                # relative form re-introduces one-ulp `now + (at - now)`
-                # drift).
-                self.schedule_at(until_event, at, priority=NORMAL + 1)
-
+        if until is None:
+            until_event: Optional[Event] = None
+        elif isinstance(until, Event):
+            until_event = until
             if until_event.callbacks is None:
                 # Already processed before run() was called.
                 if until_event._ok:
                     return until_event._value
                 raise until_event._value
             until_event.callbacks.append(_stop_simulation)
+        else:
+            self._run_to(float(until))
+            return None
 
         # Inlined event loop (equivalent to `while True: self.step()`).
         # This is the hottest code in the simulator: local bindings for the
@@ -212,7 +206,7 @@ class Environment:
                     item = heappop(queue)
                 except IndexError:
                     raise EmptySchedule() from None
-                self._now = item[0]
+                self.now = item[0]
                 event = item[3]
                 callbacks = event.callbacks
                 event.callbacks = None
@@ -233,6 +227,34 @@ class Environment:
                     "has not triggered"
                 ) from None
         return None
+
+    def _run_to(self, at: float) -> None:
+        """``run(until=at)`` for a number: dispatch up to a bound, no event.
+
+        The bound is the heap key a stop event queued now at ``at`` with
+        priority ``NORMAL + 1`` would get; its eid is consumed so every
+        later eid is unchanged.  Eids are unique, so ``queue[0] < bound``
+        is exactly "sorts before that stop event", and events scheduled
+        during the run (larger eids) obey it too.
+        """
+        if at < self.now:
+            raise ValueError(f"until ({at}) must be >= now ({self.now})")
+        eid = self._eid + 1
+        self._eid = eid
+        bound = (at, NORMAL + 1, eid)
+        queue = self._queue
+        while queue and queue[0] < bound:
+            item = heappop(queue)
+            self.now = item[0]
+            event = item[3]
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                # A failed event nobody handled: escalate to the caller.
+                raise event._value
+        self.now = at
 
 
 def _stop_simulation(event: Event) -> None:

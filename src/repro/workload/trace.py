@@ -26,9 +26,13 @@ Determinism is the whole point: synthesis is a pure function of
 always produces byte-identical files, and :func:`trace_digest` (SHA-256
 over the *uncompressed* bytes) pins a trace across platforms.
 
-Reading is lazy end to end — :func:`read_trace` returns an iterator
-over the open file, so replaying a trace never materializes the event
-list in memory (see :class:`~repro.workload.source.ReplaySource`).
+Reading is lazy end to end — :func:`read_trace` reads the header and
+closes the file; its event iterator opens the file on the first
+``next()`` and decodes one chunk of about 64 KiB of lines per
+``json.loads`` call, so replaying a trace never holds more than one
+chunk of it in memory (see :class:`~repro.workload.source.ReplaySource`).
+A line that is not an event, or an event earlier than the one before
+it, raises :class:`ValueError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import hashlib
 import io
 import json
 import os
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "TRACE_FORMAT",
@@ -52,6 +56,9 @@ __all__ = [
 ]
 
 TRACE_FORMAT = "repro-trace-v1"
+
+#: Characters of event lines decoded per ``json.loads`` call.
+_CHUNK_CHARS = 1 << 16
 
 
 class TraceEvent:
@@ -209,27 +216,83 @@ def _open_text(path: str) -> io.TextIOBase:
 def read_trace(path: str) -> Tuple[TraceMeta, Iterator[TraceEvent]]:
     """Open a trace: return its header and a *lazy* event iterator.
 
-    The iterator holds the file open and yields events line by line;
-    exhausting (or garbage-collecting) it closes the file.
+    The header is read, and the file closed, before this returns.  The
+    iterator opens the file again on its first ``next()`` and holds it
+    until it is exhausted or closed.  A malformed event line, or an
+    event earlier than the one before it (equal times are fine), raises
+    :class:`ValueError` naming ``path`` and the 1-based line.
     """
-    handle = _open_text(path)
+    return read_trace_meta(path), _read_events(path)
+
+
+def _read_events(path: str) -> Iterator[TraceEvent]:
+    with _open_text(path) as handle:
+        handle.readline()  # the header
+        lineno = 1  # lines before the chunk
+        last_t = -float("inf")
+        while True:
+            lines = handle.readlines(_CHUNK_CHARS)
+            if not lines:
+                return
+            events = _decode_chunk(path, lines, lineno, last_t)
+            lineno += len(lines)
+            if events:
+                last_t = events[-1].t
+                yield from events
+
+
+def _decode_chunk(
+    path: str, lines: List[str], lineno: int, last_t: float,
+) -> List[TraceEvent]:
+    """The events of ``lines``, decoded as one JSON array.
+
+    Anything amiss (a line that is not one event object, or an event
+    earlier than ``last_t`` or than the one before it) sends the chunk
+    through :func:`_decode_lines`, which raises at the first bad line.
+    """
+    kept = [line for line in lines if not line.isspace()]
     try:
-        header = handle.readline()
-        if not header:
-            raise ValueError(f"{path}: empty trace file")
-        meta = TraceMeta.from_line(header)
-    except Exception:
-        handle.close()
-        raise
+        records = json.loads("[" + ",".join(kept) + "]")
+        events = [
+            TraceEvent(float(record["t"]), record.get("k"), record.get("u"),
+                       record.get("s"), record.get("p"))
+            for record in records
+        ]
+    except (ValueError, KeyError, TypeError):
+        events = None
+    if events is not None and len(events) == len(kept):
+        previous = last_t
+        for event in events:
+            if event.t < previous:
+                break
+            previous = event.t
+        else:
+            return events
+    return _decode_lines(path, lines, lineno, last_t)
 
-    def events() -> Iterator[TraceEvent]:
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield TraceEvent.from_line(line)
 
-    return meta, events()
+def _decode_lines(
+    path: str, lines: List[str], lineno: int, last_t: float,
+) -> List[TraceEvent]:
+    """Decode ``lines`` one at a time; raise at the first bad line."""
+    events = []
+    for number, line in enumerate(lines, lineno + 1):
+        if line.isspace():
+            continue
+        try:
+            event = TraceEvent.from_line(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}:{number}: not a trace event ({exc!r}): {line[:120]!r}"
+            ) from exc
+        if event.t < last_t:
+            raise ValueError(
+                f"{path}:{number}: event at t={event.t!r} is earlier than "
+                f"the one before it at t={last_t!r}; trace events must be "
+                "time-ordered")
+        last_t = event.t
+        events.append(event)
+    return events
 
 
 def read_trace_meta(path: str) -> TraceMeta:

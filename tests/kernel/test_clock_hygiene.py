@@ -14,7 +14,10 @@ Banned outside ``repro.sim`` / ``repro.kernel``:
 
 - ``heapq`` imports — event queues are the kernel's;
 - ``time.time()`` / ``time.monotonic()`` — read ``env.now``;
-- ``asyncio.sleep()`` — yield ``env.timeout(...)``.
+- ``asyncio.sleep()`` — yield ``env.timeout(...)``;
+- assigning to an attribute named ``now`` (``x.now = ...``,
+  ``x.now += ...``) — ``Environment.now`` is a plain attribute, and only
+  the kernel's dispatch loops (and ``AsyncioBackend.touch``) move it.
 
 ``time.perf_counter`` stays allowed: benchmarking how long the
 *simulator* takes is measurement of the tool, not policy time.
@@ -31,7 +34,8 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: Path prefixes (relative to src/repro) exempt from the ban.  Keep in
 #: sync with the TID251 per-file-ignores in pyproject.toml.
 EXEMPT_PREFIXES = ("sim/", "kernel/")
-EXEMPT_FILES = {
+#: Files (relative to src/repro) exempt from the heapq ban only.
+HEAPQ_EXEMPT_FILES = {
     # heapq as a k-way-merge data structure over arrival streams — not
     # an event queue.
     "workload/source.py",
@@ -49,22 +53,24 @@ def _policy_files() -> List[Path]:
     files = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        if rel in EXEMPT_FILES or rel.startswith(EXEMPT_PREFIXES):
+        if rel.startswith(EXEMPT_PREFIXES):
             continue
         files.append(path)
     return files
 
 
-def _violations(path: Path) -> List[Tuple[int, str]]:
+def _violations(path: Path, heapq_allowed: bool = False) -> List[Tuple[int, str]]:
     tree = ast.parse(path.read_text(), filename=str(path))
     found: List[Tuple[int, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
+                if heapq_allowed:
+                    break
                 if alias.name == "heapq" or alias.name.startswith("heapq."):
                     found.append((node.lineno, "import heapq"))
         elif isinstance(node, ast.ImportFrom):
-            if node.module == "heapq":
+            if node.module == "heapq" and not heapq_allowed:
                 found.append((node.lineno, "from heapq import ..."))
             for alias in node.names:
                 if (node.module, alias.name) in BANNED_FROM_IMPORTS:
@@ -75,6 +81,13 @@ def _violations(path: Path) -> List[Tuple[int, str]]:
             dotted = f"{node.value.id}.{node.attr}"
             if dotted in BANNED_ATTRIBUTES:
                 found.append((node.lineno, dotted))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if (isinstance(part, ast.Attribute) and part.attr == "now"
+                            and isinstance(part.ctx, ast.Store)):
+                        found.append((node.lineno, "assignment to .now"))
     return found
 
 
@@ -98,22 +111,38 @@ def test_scanner_detects_each_banned_form(tmp_path):
         "m = time.monotonic()\n"
         "async def f():\n"
         "    await asyncio.sleep(1)\n"
+        "env.now = 1.0\n"
+        "env.now += 1.0\n"
+        "env.now: float = 1.0\n"
+        "other, env.now = 1.0, 2.0\n"
+        "times[env.now] = env.now\n"
     )
-    kinds = {kind for _, kind in _violations(bad)}
-    assert kinds == {
+    found = _violations(bad)
+    assert {kind for _, kind in found} == {
         "import heapq",
         "from heapq import ...",
         "from time import monotonic",
         "time.time",
         "time.monotonic",
         "asyncio.sleep",
+        "assignment to .now",
     }
+    # Four writes; reading ``env.now`` (even inside a target) is fine.
+    assert [line for line, kind in found if kind == "assignment to .now"] == [
+        10, 11, 12, 13]
+
+
+def test_heapq_exemption_covers_heapq_only(tmp_path):
+    merge = tmp_path / "merge.py"
+    merge.write_text("import heapq\nfrom heapq import merge\nsource.now = 0.0\n")
+    assert _violations(merge, heapq_allowed=True) == [(3, "assignment to .now")]
 
 
 def test_policy_code_is_clock_clean():
     offenders = []
     for path in _policy_files():
-        for lineno, kind in _violations(path):
+        heapq_allowed = path.relative_to(SRC).as_posix() in HEAPQ_EXEMPT_FILES
+        for lineno, kind in _violations(path, heapq_allowed):
             offenders.append(f"{path.relative_to(SRC)}:{lineno}: {kind}")
     assert not offenders, (
         "policy code must get time/scheduling from repro.kernel, found:\n  "

@@ -8,6 +8,12 @@ interleavings of ``timeout``, ``schedule``, ``schedule_at``, ``step``,
 schedule further events mid-dispatch, and after every operation the
 two must agree on the firing order, the clock, ``pending`` and
 ``peek()``, bit for bit.
+
+The reference stops ``run(until=<number>)`` by pushing a stop item at
+``(at, NORMAL + 1)``.  Events are scheduled at priorities on both sides
+of it, and one rule stops at the time of an event already queued, so
+the ties at the stop instant are checked: a ``NORMAL + 1`` event queued
+there before the call runs before the stop, a ``NORMAL + 2`` one waits.
 """
 
 import math
@@ -15,7 +21,7 @@ import math
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.sim import EmptySchedule, Environment
 from repro.sim.events import NORMAL, URGENT
@@ -26,10 +32,13 @@ DELAYS = st.one_of(
     st.floats(min_value=0.0, max_value=5.0, allow_nan=False, allow_infinity=False),
 )
 
-#: Priority of run(until=<number>)'s stop event: after every NORMAL
-#: event at the stop instant.
+#: Priority of the reference's run(until=<number>) stop item: after
+#: every NORMAL event at the stop instant.
 _STOP_PRIORITY = NORMAL + 1
 _STOP = "stop"
+
+#: Priorities on both sides of the stop item's.
+PRIORITIES = st.sampled_from([URGENT, NORMAL, NORMAL + 1, NORMAL + 2])
 
 
 class ReferenceQueue:
@@ -90,7 +99,7 @@ class EngineMatchesReference(RuleBasedStateMachine):
         self.env.timeout(delay).callbacks.append(self._recorder(tag, child))
         self.ref.push(self.ref.now + delay, NORMAL, tag, child)
 
-    @rule(delay=DELAYS, priority=st.sampled_from([URGENT, NORMAL]), spawn=st.booleans())
+    @rule(delay=DELAYS, priority=PRIORITIES, spawn=st.booleans())
     def schedule(self, delay, priority, spawn):
         tag = self._new_tag()
         child = self._new_tag() if spawn else None
@@ -99,7 +108,7 @@ class EngineMatchesReference(RuleBasedStateMachine):
         self.env.schedule(event, priority=priority, delay=delay)
         self.ref.push(self.ref.now + delay, priority, tag, child)
 
-    @rule(offset=DELAYS, priority=st.sampled_from([URGENT, NORMAL]))
+    @rule(offset=DELAYS, priority=PRIORITIES)
     def schedule_at(self, offset, priority):
         tag = self._new_tag()
         at = self.ref.now + offset
@@ -117,14 +126,23 @@ class EngineMatchesReference(RuleBasedStateMachine):
         self.env.step()
         self.ref.pop()
 
-    @rule(offset=DELAYS)
-    def run_until(self, offset):
-        target = self.ref.now + offset
+    def _run_until(self, target):
         self.env.run(until=target)
         self.ref.push(target, _STOP_PRIORITY, _STOP)
         while self.ref.pop() != _STOP:
             pass
         assert self.env.now == target
+
+    @rule(offset=DELAYS)
+    def run_until(self, offset):
+        self._run_until(self.ref.now + offset)
+
+    @precondition(lambda self: self.ref.items)
+    @rule(pick=st.integers(min_value=0, max_value=63))
+    def run_until_a_queued_time(self, pick):
+        """Stop exactly where an event is queued: ties at the stop."""
+        items = self.ref.items
+        self._run_until(items[pick % len(items)][0])
 
     @rule()
     def run_to_exhaustion(self):

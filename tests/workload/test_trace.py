@@ -2,9 +2,11 @@
 
 import gzip
 import json
+import re
 
 import pytest
 
+import repro.workload.trace as trace_module
 from repro.workload import (
     TRACE_FORMAT,
     TraceEvent,
@@ -22,6 +24,16 @@ EVENTS = [
     TraceEvent(1.5, key=0, user=7, state="burst", phase="day"),
     TraceEvent(9.75, key=12, phase="flash"),
 ]
+
+
+def trace_text(path):
+    data = path.read_bytes()
+    return (gzip.decompress(data) if path.suffix == ".gz" else data).decode()
+
+
+def write_text(path, text):
+    data = text.encode()
+    path.write_bytes(gzip.compress(data) if path.suffix == ".gz" else data)
 
 
 def write_sample(path, events=None):
@@ -99,6 +111,61 @@ class TestValidation:
         path.write_text('{"format": "other-format"}\n')
         with pytest.raises(ValueError):
             read_trace(str(path))
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    @pytest.mark.parametrize("bad", ['{"t": 1.5, "k": ', '{"k": 3}', '[1.5]',
+                                     '{"t": "soon"}'])
+    def test_malformed_event_names_file_and_line(self, tmp_path, suffix, bad):
+        path = tmp_path / f"t{suffix}"
+        write_sample(path)
+        lines = trace_text(path).splitlines()
+        # Header, two events, a blank line, then the bad line 5.
+        lines[3:3] = [""]
+        lines[4] = bad
+        write_text(path, "\n".join(lines) + "\n")
+        _, events = read_trace(str(path))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")):
+            list(events)
+
+    def test_time_travel_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        header = TraceMeta(name="sample").to_line()
+        path.write_text(header + '\n{"t":5.0}\n{"t":4.0}\n{"t":6.0}\n')
+        _, events = read_trace(str(path))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*4.0"):
+            list(events)
+
+    def test_errors_count_lines_across_chunks(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        count = 3 * trace_module._CHUNK_CHARS // len('{"t":0.0}\n')
+        write_sample(path, [TraceEvent(float(i)) for i in range(count)])
+        lines = trace_text(path).splitlines()
+        bad = count - 7  # line bad + 1 of the file holds event bad
+        lines[bad] = '{"t":%r}' % (bad - 2.5)
+        write_text(path, "\n".join(lines) + "\n")
+        _, events = read_trace(str(path))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{bad + 1}: ")):
+            list(events)
+
+    def test_reading_holds_no_file_open_until_iterated(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl.gz"
+        write_sample(path)
+        opened = []
+
+        def recording_open(name):
+            handle = real_open(name)
+            opened.append(handle)
+            return handle
+
+        real_open = trace_module._open_text
+        monkeypatch.setattr(trace_module, "_open_text", recording_open)
+        meta, events = read_trace(str(path))
+        assert meta.name == "sample"
+        assert len(opened) == 1 and opened[0].closed
+        assert next(events) == EVENTS[0]
+        assert len(opened) == 2 and not opened[1].closed
+        assert list(events) == EVENTS[1:]
+        assert opened[1].closed
 
 
 class TestDescribe:
