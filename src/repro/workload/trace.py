@@ -28,7 +28,7 @@ over the *uncompressed* bytes) pins a trace across platforms.
 
 Reading is lazy end to end — :func:`read_trace` reads the header and
 closes the file; its event iterator opens the file on the first
-``next()`` and decodes one chunk of about 64 KiB of lines per
+``next()`` and decodes one chunk of about 16 KiB of lines per
 ``json.loads`` call, so replaying a trace never holds more than one
 chunk of it in memory (see :class:`~repro.workload.source.ReplaySource`).
 A line that is not an event, or an event earlier than the one before
@@ -58,7 +58,7 @@ __all__ = [
 TRACE_FORMAT = "repro-trace-v1"
 
 #: Characters of event lines decoded per ``json.loads`` call.
-_CHUNK_CHARS = 1 << 16
+_CHUNK_CHARS = 1 << 14
 
 
 class TraceEvent:

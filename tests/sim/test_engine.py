@@ -457,7 +457,7 @@ class TestRunUntilDrift:
         assert env.now == target
 
     def test_events_at_the_stop_instant_still_fire_first(self):
-        """The stop event is scheduled below NORMAL priority, so work
+        """The stop bound sits below NORMAL priority, so work
         landing at exactly t=until runs before the run() returns."""
         env = Environment()
         fired = []
@@ -469,6 +469,28 @@ class TestRunUntilDrift:
         env.process(proc(env))
         env.run(until=5.0)
         assert fired == [5.0]
+
+
+class TestRunUntilBound:
+    """run(until=<number>) stops at a bound and queues nothing."""
+
+    def test_each_slice_consumes_one_insertion_number(self):
+        env = Environment()
+        env.run(until=1.0)
+        env.run(until=1.0)
+        assert (env._eid, env.pending, env.now) == (2, 0, 1.0)
+
+    def test_a_failed_slice_leaves_no_stop_behind(self):
+        """A slice that raises must not leave a stop that ends a later run."""
+        env = Environment()
+        env.event().fail(RuntimeError("boom"))
+        late = env.timeout(10.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=5.0)
+        assert env.pending == 1
+        env.run()
+        assert late.processed
+        assert env.now == 10.0
 
 
 class TestStepRunEquivalence:
