@@ -65,9 +65,8 @@ def _violations(path: Path, heapq_allowed: bool = False) -> List[Tuple[int, str]
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if heapq_allowed:
-                    break
-                if alias.name == "heapq" or alias.name.startswith("heapq."):
+                if not heapq_allowed and (
+                        alias.name == "heapq" or alias.name.startswith("heapq.")):
                     found.append((node.lineno, "import heapq"))
         elif isinstance(node, ast.ImportFrom):
             if node.module == "heapq" and not heapq_allowed:
